@@ -95,6 +95,7 @@ from .ncmap import (
     sortable_of_torsion,
     torsion_of_sortable,
     upper_indecs,
+    wide_of_nc,
 )
 from .latt import (
     FinitePoset,

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cluster as clus
 from . import ncmap, replab, tors, verify
@@ -197,10 +196,12 @@ def _map_step(q: Quiver, src: str, dst: str, obj):
     if (src, dst) == ("wide", "nc"):
         return ncmap.cox_of_wide(q, obj)
     if (src, dst) == ("nc", "wide"):
-        for t in tors.enumerate_torsion_classes(q):
-            wide = tors.a_of(q, t)
+        wide = ncmap.wide_of_nc(q, obj)
+        try:
             if ncmap.cox_of_wide(q, wide) == obj:
                 return wide
+        except ValueError:  # the roots in im(w - 1) admit no exceptional order
+            pass
         raise ValueError("group element is not a noncrossing partition of this quiver")
     if (src, dst) == ("torsion", "sortable"):
         return ncmap.sortable_of_torsion(q, obj)
@@ -227,6 +228,8 @@ def _map_object(q: Quiver, src: str, dst: str, obj):
 
 def cmd_map(q: Quiver, args) -> int:
     obj = _parse_object(q, args.src, args.object)
+    if args.src == "wide" and ncmap.wide_of_nc(q, ncmap.cox_of_wide(q, obj)) != obj:
+        raise ValueError("input is not a wide subcategory of this quiver")
     out = _map_object(q, args.src, args.dst, obj)
     print(_emit_object(q, args.dst, out))
     return 0
@@ -237,8 +240,6 @@ def cmd_table(q: Quiver, args) -> int:
 
     Roots in the text table carry their AR-quiver position as [coords]#k.
     """
-    if q.n > 4:
-        raise OracleCapError("table is capped at rank 4")
     cword = coxeter_element_word(q)
     ar_pos = {r: i + 1 for i, r in enumerate(replab.ar_linear_order(q))}
 
@@ -302,16 +303,7 @@ def cmd_table(q: Quiver, args) -> int:
 
 def cmd_verify(q: Quiver, args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    threads = int(os.environ.get("QUIVERNC_THREADS", "1"))
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                name: pool.submit(verify.SUITES[name], q, args.seed, args.cap)
-                for name in names
-            }
-            reports = [futures[name].result() for name in names]
-    else:
-        reports = [verify.SUITES[name](q, args.seed, args.cap) for name in names]
+    reports = [verify.SUITES[name](q, args.seed, args.cap) for name in names]
     failed = False
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"

@@ -176,6 +176,11 @@ def reduce_against(field, reduced_rows: Sequence[Sequence], pivots: Sequence[int
     return res
 
 
+def pivots_of(field, rows: Sequence[Sequence]) -> list[int]:
+    """Pivot columns of rows already in RREF."""
+    return [next(i for i, x in enumerate(row) if not field.is_zero(x)) for row in rows]
+
+
 def in_span(field, reduced_rows: Sequence[Sequence], pivots: Sequence[int], v: Sequence) -> bool:
     return all(field.is_zero(x) for x in reduce_against(field, reduced_rows, pivots, v))
 

@@ -21,7 +21,7 @@ from .quiver import (
     require_finite_type,
     simple_roots,
 )
-from .replab import ext_dim_roots, hom_dim_roots
+from .quiver import ext_dim_roots, hom_dim_roots
 from .tors import IndecSet, a_of, torsion_classes_set, wide_simples
 from .weyl import (
     GroupElement,
@@ -39,6 +39,16 @@ from .weyl import (
 def cox_of_wide(q: Quiver, a: IndecSet) -> GroupElement:
     """Product of the reflections of the simples of A in exceptional order."""
     return _reflection_product(q, wide_simples(q, a))
+
+
+def wide_of_nc(q: Quiver, w: GroupElement) -> IndecSet:
+    """Inverse of `cox_of_wide` on NC: the positive roots in Mov(w) = im(w - 1),
+    which for w below cox(Q) are those of its wide subcategory (Brady-Watt)."""
+    moved = [[w.mat[i][j] - (i == j) for i in range(q.n)] for j in range(q.n)]
+    reduced, pivots = fields.rref(fields.QQ, moved)  # rows span the columns of w - 1
+    return frozenset(
+        x for x in positive_roots(q) if fields.in_span(fields.QQ, reduced, pivots, x)
+    )
 
 
 def nc_of_torsion(q: Quiver, t: IndecSet) -> GroupElement:

@@ -150,6 +150,23 @@ def euler_form(q: Quiver, a: DimVector, b: DimVector) -> int:
     return total
 
 
+def hom_dim_roots(q: Quiver, a: Root, b: Root) -> int:
+    """dim Hom(M_a, M_b) = max(<a,b>, 0) for indecomposables of a Dynkin quiver.
+
+    The Euler form on the root lattice is dim Hom - dim Ext^1, and at most one
+    of the two is nonzero: Hom gives a path a -> b in the AR quiver, and
+    Ext^1(M_a, M_b) = D Hom(M_b, tau M_a) a path b -> tau a -> a, but a
+    Dynkin AR quiver has no oriented cycle.
+    """
+    return max(euler_form(q, a, b), 0)
+
+
+def ext_dim_roots(q: Quiver, a: Root, b: Root) -> int:
+    """dim Ext^1(M_a, M_b) = max(-<a,b>, 0); see `hom_dim_roots` for why at
+    most one of Hom and Ext^1 is nonzero between two indecomposables."""
+    return max(-euler_form(q, a, b), 0)
+
+
 def symmetrized_form(q: Quiver, a: DimVector, b: DimVector) -> int:
     """(a,b) = <a,b> + <b,a>."""
     return euler_form(q, a, b) + euler_form(q, b, a)

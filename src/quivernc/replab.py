@@ -22,6 +22,8 @@ from .quiver import (
     Root,
     Vertex,
     euler_form,
+    ext_dim_roots,  # re-exported: the closed forms live next to euler_form
+    hom_dim_roots,
     is_positive_root,
     positive_roots,
     require_finite_type,
@@ -415,18 +417,6 @@ def indecomposable(q: Quiver, root: Root, field=QQ) -> Representation:
     return m
 
 
-@lru_cache(maxsize=None)
-def hom_dim_roots(q: Quiver, a: Root, b: Root, field=QQ) -> int:
-    return hom_dim(indecomposable(q, a, field), indecomposable(q, b, field))
-
-
-def ext_dim_roots(q: Quiver, a: Root, b: Root, field=QQ) -> int:
-    d = hom_dim_roots(q, a, b, field) - euler_form(q, a, b)
-    if d < 0:
-        raise FingerprintError("negative Ext dimension between indecomposables")
-    return d
-
-
 def _all_subspaces(field, dim: int) -> list[tuple[tuple, ...]]:
     """Every subspace of field^dim as a canonical RREF row basis."""
     out = [()]
@@ -461,10 +451,6 @@ def _subspace_lists(field, dim: int) -> tuple:
     return tuple(_all_subspaces(field, dim))
 
 
-def _pivots_of(field, rows) -> list[int]:
-    return [next(i for i, x in enumerate(row) if not field.is_zero(x)) for row in rows]
-
-
 def subrepresentation_subspaces(
     m: Representation, cap: int = DEFAULT_CAP
 ) -> list[tuple[tuple[tuple, ...], ...]]:
@@ -481,7 +467,7 @@ def subrepresentation_subspaces(
         ok = True
         for k, (s, t) in arrows:
             target = choice[t - 1]
-            pivots = _pivots_of(field, target)
+            pivots = fields.pivots_of(field, target)
             for w in choice[s - 1]:
                 img = fields.mat_vec(field, m.maps[k], w)
                 if not fields.in_span(field, target, pivots, img):
@@ -529,7 +515,7 @@ def quotient_representation(
     coords = []
     for v in range(q.n):
         rows = list(subspaces[v])
-        pivots = _pivots_of(field, rows)
+        pivots = fields.pivots_of(field, rows)
         reductions.append((rows, pivots))
         coords.append([c for c in range(m.dims[v]) if c not in pivots])
     dims = tuple(len(c) for c in coords)
@@ -577,11 +563,9 @@ def decompose(q: Quiver, m: Representation) -> tuple[Root, ...]:
         return ()
     order = ar_linear_order(q)
     field = m.field
-    fingerprint = [hom_dim(indecomposable(q, beta, field), m) for beta in order]
-    hom_table = [
-        [hom_dim_roots(q, order[i], order[j], field) for j in range(len(order))]
-        for i in range(len(order))
-    ]
+    indecs = [indecomposable(q, beta, field) for beta in order]
+    fingerprint = [hom_dim(x, m) for x in indecs]
+    hom_table = [[hom_dim(x, y) for y in indecs] for x in indecs]
     mult = [0] * len(order)
     for i in reversed(range(len(order))):
         acc = fingerprint[i] - sum(

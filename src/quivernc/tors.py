@@ -15,14 +15,13 @@ from . import fields
 from .errors import OracleCapError
 from .fields import GF2, QQ
 from .quiver import Quiver, Root, Vertex, positive_roots, require_finite_type, support
+from .quiver import ext_dim_roots, hom_dim_roots
 from .replab import (
     DEFAULT_CAP,
     Representation,
     decompose,
     direct_sum,
-    ext_dim_roots,
     hom_basis,
-    hom_dim_roots,
     indecomposable,
     quotient_representation,
     sub_representation,
@@ -302,26 +301,19 @@ def torsion_classes_set(q: Quiver) -> frozenset[IndecSet]:
 def wide_simples(q: Quiver, a: IndecSet) -> tuple[Root, ...]:
     """Simple objects of a wide subcategory in exceptional-sequence order.
 
-    A member is simple in A when it has no proper nonzero subobject lying
-    in A; the order places x before y whenever Hom(y, x) or Ext^1(y, x) is
-    nonzero, lexicographically least among valid orders.
+    The dimension vectors of a wide subcategory A are the positive roots of
+    a root subsystem, and its simples are that subsystem's base: the
+    members x with x - y outside A for every member y (a positive root that
+    is not simple is a simple plus a positive root).  The order places x
+    before y whenever Hom(y, x) or Ext^1(y, x) is nonzero, lexicographically
+    least among valid orders.
     """
     require_finite_type(q)
     a = frozenset(a)
     _check_roots(q, a)
-    simples = []
-    for alpha in a:
-        m = indecomposable(q, alpha, GF2)
-        proper = False
-        for sub in subrepresentation_subspaces(m):
-            dims = tuple(len(rows) for rows in sub)
-            if dims == alpha or all(x == 0 for x in dims):
-                continue
-            if set(decompose(q, sub_representation(m, sub))) <= a:
-                proper = True
-                break
-        if not proper:
-            simples.append(alpha)
+    simples = [
+        x for x in a if not any(tuple(i - j for i, j in zip(x, y)) in a for y in a)
+    ]
     # x must precede y whenever x "hits" y (Hom(x,y) or Ext(x,y) nonzero)
     must_precede = {
         (x, y)
@@ -370,7 +362,7 @@ def torsion_subobject(
 
     def contains(big, small) -> bool:
         for v in range(q.n):
-            pivots = _sub_pivots(field, big[v])
+            pivots = fields.pivots_of(field, big[v])
             for row in small[v]:
                 if not fields.in_span(field, big[v], pivots, row):
                     return False
@@ -380,7 +372,3 @@ def torsion_subobject(
     if not all(contains(best, other) for other in candidates):
         raise RuntimeError("torsion subobjects have no unique maximum")
     return sub_representation(m, best)
-
-
-def _sub_pivots(field, rows) -> list[int]:
-    return [next(i for i, x in enumerate(row) if not field.is_zero(x)) for row in rows]

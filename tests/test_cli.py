@@ -1,11 +1,15 @@
+import itertools
 import json
 
 import pytest
 
+from quivernc import positive_roots, replab, tors
 from quivernc.cli import main
 
 A2 = "vertices 2\narrow 2 1"
 A3 = "vertices 3\narrow 2 1\narrow 2 3"
+A5 = "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5"
+D4 = "vertices 4\narrow 2 1\narrow 2 3\narrow 2 4"
 WILD = "vertices 2\narrow 1 2\narrow 1 2\narrow 1 2"
 
 
@@ -94,6 +98,35 @@ class TestMap:
         doc = json.loads(out)
         assert doc["word"] == [1, 2, 1]
 
+    def test_wide_source_rejects_non_wide(self, capsys):
+        # {S1, S2} is not wide: Ext(S2, S1) != 0 but [1,1] is missing
+        for dst in ("torsion", "nc"):
+            code, out, err = run(capsys, "map", A2, "--from", "wide", "--to", dst,
+                                 "--object", json.dumps([[1, 0], [0, 1]]))
+            assert code == 2 and out == ""
+            assert "not a wide subcategory" in err
+
+    def test_wide_source_accepts_wide(self, capsys):
+        code, out, _ = run(capsys, "map", A2, "--from", "wide", "--to", "torsion",
+                           "--object", json.dumps([[1, 1]]))
+        assert code == 0 and json.loads(out) == [[0, 1], [1, 1]]
+        code, out, _ = run(capsys, "map", A2, "--from", "wide", "--to", "nc",
+                           "--object", json.dumps([[0, 1], [1, 0], [1, 1]]))
+        assert code == 0 and json.loads(out)["word"] == [2, 1]
+
+    def test_wide_check_accepts_exactly_wide_subcategories(self, a3):
+        """Over every set of roots of A3, the check behind `--from wide`
+        accepts exactly the wide subcategories a(T)."""
+        wides = {tors.a_of(a3, t) for t in tors.enumerate_torsion_classes(a3)}
+        roots = positive_roots(a3)
+        for k in range(len(roots) + 1):
+            for subset in itertools.combinations(roots, k):
+                a = frozenset(subset)
+                code = main(["map", A3, "--from", "wide", "--to", "wide",
+                             "--object", json.dumps([list(r) for r in subset])])
+                assert (code == 0) == (a in wides), subset
+                assert code in (0, 2)
+
     def test_bad_object(self, capsys):
         code, _, err = run(capsys, "map", A2, "--from", "torsion", "--to", "nc",
                            "--object", json.dumps([[9, 9]]))
@@ -133,6 +166,36 @@ class TestTable:
         _, second, _ = run(capsys, "table", A3)
         assert first == second
 
+    def test_a5_uncapped(self, capsys):
+        code, out, _ = run(capsys, "table", A5)
+        assert code == 0 and len(out.splitlines()) == 133  # header + 132 rows
+
+
+class TestOracleFree:
+    """Production verbs never enumerate GF(2) subrepresentations."""
+
+    @pytest.fixture(autouse=True)
+    def no_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("production path reached the GF(2) oracle")
+
+        monkeypatch.setattr(replab, "subrepresentation_subspaces", refuse)
+        monkeypatch.setattr(tors, "subrepresentation_subspaces", refuse)
+
+    def test_table(self, capsys):
+        code, out, _ = run(capsys, "table", D4)
+        assert code == 0 and len(out.splitlines()) == 51
+
+    def test_enumerate_nc(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--what", "nc", D4)
+        assert code == 0 and len(out.splitlines()) == 50
+
+    def test_map_nc_to_wide(self, capsys):
+        obj = json.dumps({"word": [2, 1, 3, 4]})
+        code, out, _ = run(capsys, "map", D4, "--from", "nc", "--to", "wide",
+                           "--object", obj)
+        assert code == 0 and len(json.loads(out)) == 12  # cox(Q): every root
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
@@ -166,6 +229,5 @@ class TestErrors:
         assert code == 3 and "wild" in err
 
     def test_cap_error_exit_three(self, capsys):
-        big = "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5"
-        code, _, err = run(capsys, "table", big)
-        assert code == 3
+        code, _, err = run(capsys, "enumerate", "--what", "exceptional", A5)
+        assert code == 3 and "capped at rank 4" in err

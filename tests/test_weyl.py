@@ -152,15 +152,14 @@ class TestNCPoset:
                 if absolute_length(a2, w) == 1} == {reflection(a2, v) for v in positive_roots(a2)}
 
     def test_fixed_space_reverse_inclusion(self, a3):
-        from quivernc.fields import QQ, in_span
-        from quivernc.replab import _pivots_of
+        from quivernc.fields import QQ, in_span, pivots_of
 
         nc = noncrossing_partitions(a3)
         for i, u in enumerate(nc.elements):
             for j, v in enumerate(nc.elements):
                 if nc.leq[i][j]:
                     fu, fv = fixed_space(a3, u), fixed_space(a3, v)
-                    pivots = _pivots_of(QQ, fu)
+                    pivots = pivots_of(QQ, fu)
                     assert all(in_span(QQ, fu, pivots, row) for row in fv)
 
     def test_json(self, a2):
