@@ -19,22 +19,18 @@ from . import cluster as clus
 from . import ncmap, replab, tors, verify
 from .errors import NotFiniteTypeError, OracleCapError, QuiverSyntaxError
 from .quiver import Quiver, coxeter_element_word, parse_quiver, positive_roots
-from .weyl import (
-    c_sorting_word,
-    is_c_sortable,
-    reduced_word,
-    reflection,
-    weyl_group,
-    word_to_element,
-)
+from .weyl import c_sorting_word, reduced_word, reflection, word_to_element
 
 USAGE_ERROR, CAP_ERROR = 2, 3
 
 
 def _load_quiver(arg: str) -> Quiver:
     if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            return parse_quiver(fh.read())
+        try:
+            with open(arg, encoding="utf-8") as fh:
+                return parse_quiver(fh.read())
+        except OSError as exc:
+            raise QuiverSyntaxError(f"cannot read {arg!r}: {exc.strerror}") from exc
     if "vertices" in arg:
         return parse_quiver(arg)
     raise QuiverSyntaxError(f"no such file and not inline DSL: {arg!r}")
@@ -44,16 +40,8 @@ def _root_str(r) -> str:
     return "[" + ",".join(str(x) for x in r) + "]"
 
 
-def _set_str(s) -> str:
-    return "+".join(_root_str(r) for r in sorted(s)) if s else "0"
-
-
 def _cc_str(x: clus.CCIndec) -> str:
     return f"P{x.shift}[1]" if x.is_shift else "M" + _root_str(x.root)
-
-
-def _ct_str(t) -> str:
-    return "+".join(_cc_str(x) for x in sorted(t, key=clus.CCIndec.sort_key))
 
 
 def _word_str(word) -> str:
@@ -110,9 +98,8 @@ def _enumerate_rows(q: Quiver, what: str) -> list:
     if what == "sortables":
         cword = coxeter_element_word(q)
         words = [
-            c_sorting_word(q, w, cword)
-            for w in weyl_group(q)
-            if is_c_sortable(q, w, cword)
+            c_sorting_word(q, ncmap.sortable_of_torsion(q, t), cword)
+            for t in tors.enumerate_torsion_classes(q)
         ]
         return sorted(words, key=lambda w: (len(w), w))
     if what == "exceptional":
@@ -149,20 +136,34 @@ def cmd_enumerate(q: Quiver, args) -> int:
 _CHAIN = ("cluster", "support", "torsion", "wide", "nc")
 
 
+def _int_list(x) -> bool:
+    return isinstance(x, list) and all(type(v) is int for v in x)
+
+
+def _summand(x) -> clus.CCIndec:
+    if isinstance(x, dict) and type(x.get("shift")) is int:
+        return clus.cc_shift(x["shift"])
+    if isinstance(x, dict) and _int_list(x.get("rep")):
+        return clus.cc_rep(tuple(x["rep"]))
+    raise ValueError(f'a cluster summand is {{"shift": v}} or {{"rep": root}}, not {x!r}')
+
+
 def _parse_object(q: Quiver, kind: str, text: str):
     obj = json.loads(text)
     if kind in ("support", "torsion", "wide"):
+        if not (isinstance(obj, list) and all(_int_list(r) for r in obj)):
+            raise ValueError(f"a {kind} object is a list of dimension vectors")
         return frozenset(tuple(r) for r in obj)
     if kind == "cluster":
-        out = []
-        for item in obj["summands"]:
-            if "shift" in item:
-                out.append(clus.cc_shift(item["shift"]))
-            else:
-                out.append(clus.cc_rep(tuple(item["rep"])))
-        return frozenset(out)
+        summands = obj.get("summands") if isinstance(obj, dict) else None
+        if not isinstance(summands, list):
+            raise ValueError('a cluster object is {"summands": [summand, ...]}')
+        return frozenset(_summand(x) for x in summands)
     if kind in ("nc", "sortable"):
-        return word_to_element(q, tuple(obj["word"]))
+        word = obj.get("word") if isinstance(obj, dict) else None
+        if not _int_list(word):
+            raise ValueError('a group element is {"word": [vertex, ...]}')
+        return word_to_element(q, tuple(word))
     raise ValueError(f"unknown object kind {kind!r}")
 
 
@@ -319,6 +320,13 @@ def cmd_verify(q: Quiver, args) -> int:
     return 1 if failed else 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quivernc",
@@ -355,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(verify.SUITES) + ("all",),
     )
     p.add_argument("--seed", type=int, default=0, help="seed for random stability coefficients")
-    p.add_argument("--cap", type=int, default=12, help="oracle total-dimension cap")
+    p.add_argument("--cap", type=positive_int, default=12, help="oracle total-dimension cap")
     return parser
 
 

@@ -32,7 +32,7 @@ from .weyl import (
     length_S,
     reflection,
     simple_reflection,
-    weyl_group,
+    word_to_element,
 )
 
 
@@ -62,18 +62,23 @@ def nc_of_torsion(q: Quiver, t: IndecSet) -> GroupElement:
     return cox_of_wide(q, a_of(q, t))
 
 
-@lru_cache(maxsize=None)
-def _inversion_index(q: Quiver) -> dict[frozenset, GroupElement]:
-    return {inversion_set(q, w): w for w in weyl_group(q)}
-
-
 def sortable_of_torsion(q: Quiver, t: IndecSet) -> GroupElement:
-    """The element whose inversion set is exactly Ind(T)."""
-    require_finite_type(q)
-    w = _inversion_index(q).get(frozenset(t))
-    if w is None:
-        raise ValueError("no group element has the given roots as inversion set")
-    return w
+    """The element whose inversion set is exactly Ind(T).
+
+    Peels simple roots off the set: if e_v lies in N(w) then
+    N(s_v w) = s_v(N(w) - {e_v}). A set of positive roots is an inversion
+    set exactly when the peel empties it, since every nonempty inversion set
+    holds a simple root.
+    """
+    roots, simples = set(positive_roots(q)), simple_roots(q)
+    rest, word = set(t), []
+    while rest:
+        v = next((v for v in q.vertices if simples[v - 1] in rest), None)
+        if v is None or not rest <= roots:
+            raise ValueError("no group element has the given roots as inversion set")
+        word.append(v)
+        rest = {simple_reflection(q, v).apply(x) for x in rest - {simples[v - 1]}}
+    return word_to_element(q, tuple(word))
 
 
 def torsion_of_sortable(q: Quiver, w: GroupElement) -> IndecSet:

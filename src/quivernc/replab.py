@@ -60,9 +60,6 @@ class Representation:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def map_for(self, arrow_index: int) -> Matrix:
-        return self.maps[arrow_index]
-
     def to_json(self) -> str:
         def cell(x):
             if self.field is QQ:
@@ -590,11 +587,6 @@ def decompose(q: Quiver, m: Representation) -> tuple[Root, ...]:
 @lru_cache(maxsize=None)
 def projective_roots(q: Quiver) -> frozenset[Root]:
     return frozenset(projective_rep(q, v).dims for v in q.vertices)
-
-
-@lru_cache(maxsize=None)
-def injective_roots(q: Quiver) -> frozenset[Root]:
-    return frozenset(injective_rep(q, v).dims for v in q.vertices)
 
 
 def tau(q: Quiver, root: Root) -> Root | None:

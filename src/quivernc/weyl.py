@@ -1,7 +1,11 @@
 """Coxeter group elements as integer matrices on the root lattice.
 
 Reflections, inversion sets, the two length functions, absolute order, the
-noncrossing partition poset, c-sortability and cover reflections.
+noncrossing partition poset, c-sortability and cover reflections. These rest
+on two integer primitives: the sign of (a, w(2 rho)) for inversions and
+descents, and rank(u - v) for absolute order. `GroupElement.inverse`,
+`fixed_space` and `weyl_group` remain as oracles for `verify` and the tests;
+no production map inverts an element or enumerates W.
 
 Convention (fixed globally): a word (v1,...,vk) denotes s_{v1} o ... o s_{vk},
 so its matrix is S_{v1} @ ... @ S_{vk} and the rightmost letter acts first
@@ -127,8 +131,10 @@ def reflection(q: Quiver, v: Root) -> GroupElement:
     return GroupElement(tuple(tuple(cols[j][i] for j in range(q.n)) for i in range(q.n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def simple_reflection(q: Quiver, v: Vertex) -> GroupElement:
+    if type(v) is not int or not 1 <= v <= q.n:
+        raise ValueError(f"no simple reflection s{v!r}: vertices are 1..{q.n}")
     return reflection(q, simple_roots(q)[v - 1])
 
 
@@ -162,12 +168,20 @@ def weyl_group(q: Quiver) -> tuple[GroupElement, ...]:
     return tuple(sorted(seen, key=lambda w: w.mat))
 
 
+def _rho_pairings(q: Quiver, w: GroupElement) -> tuple[int, ...]:
+    """B . w(2 rho), B the Cartan matrix and 2 rho the sum of the positive
+    roots. Its dot product with a root a is (a, w(2 rho)) = (w^{-1} a, 2 rho),
+    which is negative exactly when w^{-1} a is a negative root."""
+    b = cartan_matrix(q)
+    image = w.apply(tuple(map(sum, zip(*positive_roots(q)))))
+    return tuple(sum(b[i][j] * image[j] for j in range(q.n)) for i in range(q.n))
+
+
 def inversion_set(q: Quiver, w: GroupElement) -> frozenset[Root]:
     """Positive roots sent to negative roots by w^{-1}."""
-    require_finite_type(q)
-    winv = w.inverse()
+    y = _rho_pairings(q, w)
     return frozenset(
-        alpha for alpha in positive_roots(q) if any(x < 0 for x in winv.apply(alpha))
+        alpha for alpha in positive_roots(q) if sum(a * b for a, b in zip(alpha, y)) < 0
     )
 
 
@@ -185,15 +199,21 @@ def fixed_space(q: Quiver, w: GroupElement) -> tuple[tuple[Fraction, ...], ...]:
     return fields.row_space(fields.QQ, basis)
 
 
+def _rank_of_difference(u: GroupElement, v: GroupElement) -> int:
+    """rank(u - v) = l_T(v^{-1} u): v^{-1} u fixes x exactly when u.x = v.x."""
+    rows = [[x - y for x, y in zip(ru, rv)] for ru, rv in zip(u.mat, v.mat)]
+    return fields.rank(fields.QQ, rows)
+
+
 def absolute_length(q: Quiver, w: GroupElement) -> int:
-    """l_T(w) = n - dim fix(w) (Carter's lemma) in finite type."""
+    """l_T(w) = n - dim fix(w) = rank(w - 1) (Carter's lemma) in finite type."""
     require_finite_type(q)
-    return q.n - len(fixed_space(q, w))
+    return _rank_of_difference(w, GroupElement.identity(q.n))
 
 
 def absolute_leq(q: Quiver, u: GroupElement, v: GroupElement) -> bool:
     """u <= v in absolute order: l_T(u) + l_T(u^{-1} v) = l_T(v)."""
-    return absolute_length(q, u) + absolute_length(q, u.inverse() * v) == absolute_length(q, v)
+    return absolute_length(q, u) + _rank_of_difference(v, u) == absolute_length(q, v)
 
 
 @lru_cache(maxsize=None)
@@ -201,12 +221,7 @@ def noncrossing_partitions(q: Quiver) -> NCPoset:
     """The interval [e, cox(Q)] in absolute order, as a poset."""
     require_finite_type(q)
     cox = coxeter_element(q)
-    lcox = absolute_length(q, cox)
-    elems = [
-        w
-        for w in weyl_group(q)
-        if absolute_length(q, w) + absolute_length(q, w.inverse() * cox) == lcox
-    ]
+    elems = [w for w in weyl_group(q) if absolute_leq(q, w, cox)]
     elems.sort(key=lambda w: (absolute_length(q, w), w.mat))
     leq = tuple(
         tuple(absolute_leq(q, u, v) for v in elems) for u in elems
@@ -216,12 +231,7 @@ def noncrossing_partitions(q: Quiver) -> NCPoset:
 
 def _left_descent(q: Quiver, w: GroupElement, v: Vertex) -> bool:
     """l_S(s_v w) < l_S(w), i.e. e_v lies in the inversion set of w."""
-    return any(x < 0 for x in w.inverse().apply(simple_roots(q)[v - 1]))
-
-
-def _right_descent(q: Quiver, w: GroupElement, v: Vertex) -> bool:
-    """l_S(w s_v) < l_S(w), i.e. w(e_v) is a negative root."""
-    return any(x < 0 for x in w.apply(simple_roots(q)[v - 1]))
+    return _rho_pairings(q, w)[v - 1] < 0
 
 
 def _validate_word(q: Quiver, c_word: tuple[Vertex, ...]) -> None:
@@ -254,13 +264,9 @@ def _sortable(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> bool:
 
 
 def cover_reflections(q: Quiver, w: GroupElement) -> frozenset[GroupElement]:
-    """{w s w^{-1} : s a right descent of w}."""
-    winv = w.inverse()
-    out = set()
-    for v in q.vertices:
-        if _right_descent(q, w, v):
-            out.add(w * simple_reflection(q, v) * winv)
-    return frozenset(out)
+    """{w s_v w^{-1} = s_{w(e_v)} : s_v a right descent of w, i.e. w(e_v) < 0}."""
+    images = (w.apply(e) for e in simple_roots(q))
+    return frozenset(reflection(q, r) for r in images if any(x < 0 for x in r))
 
 
 def reduced_word(q: Quiver, w: GroupElement) -> tuple[Vertex, ...]:

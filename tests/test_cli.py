@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quivernc import positive_roots, replab, tors
+import quivernc
+from quivernc import positive_roots, replab, tors, weyl
 from quivernc.cli import main
 
 A2 = "vertices 2\narrow 2 1"
@@ -197,6 +202,45 @@ class TestOracleFree:
         assert code == 0 and len(json.loads(out)) == 12  # cox(Q): every root
 
 
+class TestWeylFree:
+    """Production verbs never invert a group element or enumerate W."""
+
+    @pytest.fixture(autouse=True)
+    def no_weyl_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("production path reached a Weyl-group oracle")
+
+        monkeypatch.setattr(weyl.GroupElement, "inverse", refuse)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "quivernc" and getattr(module, "weyl_group", None) is weyl.weyl_group:
+                monkeypatch.setattr(module, "weyl_group", refuse)
+
+    def test_table(self, capsys):
+        code, out, _ = run(capsys, "table", D4)
+        assert code == 0 and len(out.splitlines()) == 51
+
+    @pytest.mark.parametrize("what", ["nc", "sortables"])
+    def test_enumerate(self, capsys, what):
+        code, out, _ = run(capsys, "enumerate", "--what", what, D4)
+        assert code == 0 and len(out.splitlines()) == 50
+
+    def test_map_torsion_to_sortable(self, capsys):
+        every_root = json.dumps([list(r) for r in positive_roots(quivernc.parse_quiver(D4))])
+        code, out, _ = run(capsys, "map", D4, "--from", "torsion", "--to", "sortable",
+                           "--object", every_root)
+        assert code == 0 and len(json.loads(out)["word"]) == 12  # the longest element
+
+    def test_map_sortable_to_torsion(self, capsys):
+        code, out, _ = run(capsys, "map", D4, "--from", "sortable", "--to", "torsion",
+                           "--object", json.dumps({"word": [2, 1, 3, 4]}))
+        assert code == 0 and len(json.loads(out)) == 4  # l_S(cox) inversions
+
+    def test_map_nc_to_wide(self, capsys):
+        code, out, _ = run(capsys, "map", D4, "--from", "nc", "--to", "wide",
+                           "--object", json.dumps({"word": [2, 1, 3, 4]}))
+        assert code == 0 and len(json.loads(out)) == 12
+
+
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "exceptional", A2)
@@ -231,3 +275,25 @@ class TestErrors:
     def test_cap_error_exit_three(self, capsys):
         code, _, err = run(capsys, "enumerate", "--what", "exceptional", A5)
         assert code == 3 and "capped at rank 4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", str(Path(__file__).parent)],
+    ["map", A3, "--from", "sortable", "--to", "torsion", "--object", '{"word": [0]}'],
+    ["map", A3, "--from", "sortable", "--to", "torsion", "--object", '{"word": [-1]}'],
+    ["map", A3, "--from", "sortable", "--to", "torsion", "--object", '{"word": [9]}'],
+    ["map", A3, "--from", "sortable", "--to", "torsion", "--object", '{"word": "x"}'],
+    ["map", A3, "--from", "nc", "--to", "wide", "--object", "[1]"],
+    ["map", A3, "--from", "cluster", "--to", "support", "--object", "[1]"],
+    ["map", A3, "--from", "cluster", "--to", "support", "--object", "{}"],
+    ["map", A3, "--from", "torsion", "--to", "wide", "--object", "5"],
+    ["verify", A3, "--cap", "-5"],
+    ["verify", A3, "--cap", "0"],
+], ids=["directory", "letter-0", "letter-neg", "letter-9", "word-str", "nc-list",
+        "cluster-list", "cluster-empty", "torsion-int", "cap-neg", "cap-0"])
+def test_bad_input_is_usage_error_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "quivernc.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
-"""Integer fast paths against their representation-theoretic oracles, on
-every orientation of A3, A4 and D4."""
+"""Integer fast paths against their representation-theoretic and
+matrix-inverse oracles, on every orientation of A3, A4 and D4 (the Weyl
+checks also on a disconnected quiver)."""
 
 import itertools
 
@@ -8,18 +9,25 @@ import pytest
 from quivernc import (
     a_of,
     absolute_leq,
+    absolute_length,
+    cover_reflections,
     coxeter_element,
     enumerate_torsion_classes,
+    fixed_space,
     indecomposable,
+    inversion_set,
+    is_c_sortable,
     noncrossing_partitions,
     parse_quiver,
     positive_roots,
+    simple_reflection,
+    sortable_of_torsion,
     weyl_group,
 )
-from quivernc.cli import _map_step
+from quivernc.cli import _enumerate_rows, _map_step
 from quivernc.fields import GF2, QQ
 from quivernc.ncmap import cox_of_wide, wide_of_nc
-from quivernc.quiver import ext_dim_roots, hom_dim_roots
+from quivernc.quiver import coxeter_element_word, ext_dim_roots, hom_dim_roots, simple_roots
 from quivernc.replab import (
     decompose,
     ext_dim,
@@ -28,6 +36,7 @@ from quivernc.replab import (
     subrepresentation_subspaces,
 )
 from quivernc.tors import wide_simples
+from quivernc.weyl import _left_descent, c_sorting_word
 
 EDGES = {
     "a3": (3, ((1, 2), (2, 3))),
@@ -49,6 +58,7 @@ QUIVERS = [
     for name, (n, edges) in EDGES.items()
     for q in orientations(n, edges)
 ]
+WEYL_QUIVERS = QUIVERS + [pytest.param(parse_quiver("vertices 3\narrow 1 2"), id="a2+a1")]
 
 
 def gf2_simples(q, a):
@@ -124,3 +134,89 @@ def test_nc_to_wide_accepts_exactly_nc(q):
         else:
             accepted.add(w)
     assert accepted == nc
+
+
+def inversion_set_by_inverse(q, w):
+    """N(w) from its definition: the positive roots that w^{-1} makes negative."""
+    winv = w.inverse()
+    return frozenset(a for a in positive_roots(q) if any(x < 0 for x in winv.apply(a)))
+
+
+ONE_PER_GRAPH = [
+    next(p for p in WEYL_QUIVERS if p.id.startswith(name)) for name in ("a3", "a4", "d4", "a2+a1")
+]
+
+
+def absolute_order_by_definition(q):
+    """w^{-1} and l_T(w) = n - dim fix(w) on all of W, and u <= v in absolute
+    order as l_T(u) + l_T(u^{-1} v) = l_T(v)."""
+    inv = {w: w.inverse() for w in weyl_group(q)}
+    l_t = {w: q.n - len(fixed_space(q, w)) for w in inv}
+    return inv, l_t, lambda u, v: l_t[u] + l_t[inv[u] * v] == l_t[v]
+
+
+@pytest.mark.parametrize("q", ONE_PER_GRAPH)
+def test_weyl_fast_paths_match_inverse_definitions(q):
+    """The rho-sign test, rank(w - 1) and the w(e_v) < 0 cover rule on all of
+    W, and rank(v - u) on NC x NC, against inverse and fixed-space
+    definitions. W and its action on roots depend only on the underlying
+    graph, so one orientation per graph covers them; the cox-dependent check
+    below runs on every orientation."""
+    simples, cox = simple_roots(q), coxeter_element(q)
+    inv, l_t, leq = absolute_order_by_definition(q)
+    for w, winv in inv.items():
+        n_w = inversion_set_by_inverse(q, w)
+        assert inversion_set(q, w) == n_w
+        assert {v for v in q.vertices if _left_descent(q, w, v)} == {
+            v for v in q.vertices if simples[v - 1] in n_w
+        }
+        assert absolute_length(q, w) == l_t[w]
+        right_descents = [v for v in q.vertices if any(x < 0 for x in w.apply(simples[v - 1]))]
+        assert cover_reflections(q, w) == {
+            w * simple_reflection(q, v) * winv for v in right_descents
+        }
+    nc = [w for w in inv if leq(w, cox)]
+    for u in nc:
+        for v in nc:
+            assert absolute_leq(q, u, v) == leq(u, v)
+
+
+@pytest.mark.parametrize("q", WEYL_QUIVERS)
+def test_absolute_leq_below_cox_matches_definition(q):
+    cox = coxeter_element(q)
+    _, _, leq = absolute_order_by_definition(q)
+    for w in weyl_group(q):
+        assert absolute_leq(q, w, cox) == leq(w, cox)
+
+
+@pytest.mark.parametrize("q", WEYL_QUIVERS)
+def test_sortable_of_torsion_matches_weyl_index(q):
+    index = {inversion_set_by_inverse(q, w): w for w in weyl_group(q)}
+    for t in enumerate_torsion_classes(q):
+        assert sortable_of_torsion(q, t) == index[t]
+
+
+@pytest.mark.parametrize("q", [p for p in QUIVERS if p.id.startswith("a3")])
+def test_sortable_of_torsion_rejects_non_inversion_sets(q):
+    """Every one of the 64 sets of positive roots of A3: the peel returns the
+    element with that inversion set, or rejects the set when there is none."""
+    index = {inversion_set_by_inverse(q, w): w for w in weyl_group(q)}
+    roots = positive_roots(q)
+    for k in range(len(roots) + 1):
+        for subset in itertools.combinations(roots, k):
+            s = frozenset(subset)
+            if s in index:
+                assert sortable_of_torsion(q, s) == index[s]
+            else:
+                with pytest.raises(ValueError, match="no group element"):
+                    sortable_of_torsion(q, s)
+    for not_roots in ({(1, -1, 0)}, {(0, 1, 0), (-1, 0, 0)}, {(1, 0)}, {(2, 0, 0)}):
+        with pytest.raises(ValueError, match="no group element"):
+            sortable_of_torsion(q, frozenset(not_roots))
+
+
+@pytest.mark.parametrize("q", WEYL_QUIVERS)
+def test_enumerate_sortables_matches_weyl_filter(q):
+    cword = coxeter_element_word(q)
+    words = [c_sorting_word(q, w, cword) for w in weyl_group(q) if is_c_sortable(q, w, cword)]
+    assert _enumerate_rows(q, "sortables") == sorted(words, key=lambda w: (len(w), w))

@@ -232,3 +232,9 @@ def test_element_repr(a2):
 def test_inverse_integrality(a3):
     for w in weyl_group(a3):
         assert (w * w.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("v", [0, -1, 4, True, 1.0, "1"])
+def test_simple_reflection_rejects_non_vertices(a3, v):
+    with pytest.raises(ValueError, match="no simple reflection"):
+        simple_reflection(a3, v)
