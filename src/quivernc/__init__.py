@@ -60,6 +60,7 @@ from .tors import (
     is_support_tilting,
     is_torsion_class,
     split_projectives,
+    torsion_closure,
     torsion_free_complement,
     torsion_subobject,
     wide_simples,
@@ -73,6 +74,7 @@ from .cluster import (
     complete_support_tilting,
     gen_leq,
     gen_of,
+    is_cluster_tilting,
     mutate,
     support_tilting_of,
 )

@@ -5,7 +5,8 @@ file path or inline DSL text.  All data output uses canonical orderings so
 repeated runs are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap or
-type error.
+type error, 4 internal error (an invariant check failed, such as a
+`FingerprintError` or the minimal-generator check: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import NotFiniteTypeError, OracleCapError, QuiverSyntaxError
 from .quiver import Quiver, coxeter_element_word, parse_quiver, positive_roots
 from .weyl import c_sorting_word, reduced_word, reflection, word_to_element
 
-USAGE_ERROR, CAP_ERROR = 2, 3
+USAGE_ERROR, CAP_ERROR, INTERNAL_ERROR = 2, 3, 4
 
 
 def _load_quiver(arg: str) -> Quiver:
@@ -187,13 +188,13 @@ def _map_step(q: Quiver, src: str, dst: str, obj):
     if (src, dst) == ("support", "cluster"):
         return clus.complete_support_tilting(q, obj)
     if (src, dst) == ("support", "torsion"):
-        return tors.gen(q, obj)
+        return tors.torsion_closure(q, obj)
     if (src, dst) == ("torsion", "support"):
         return tors.ext_projectives(q, obj)
     if (src, dst) == ("torsion", "wide"):
         return tors.a_of(q, obj)
     if (src, dst) == ("wide", "torsion"):
-        return tors.gen(q, obj)
+        return tors.torsion_closure(q, obj)
     if (src, dst) == ("wide", "nc"):
         return ncmap.cox_of_wide(q, obj)
     if (src, dst) == ("nc", "wide"):
@@ -229,6 +230,11 @@ def _map_object(q: Quiver, src: str, dst: str, obj):
 
 def cmd_map(q: Quiver, args) -> int:
     obj = _parse_object(q, args.src, args.object)
+    # torsion_closure is Gen only on rigid or wide input, so check the source
+    if args.src == "cluster" and not clus.is_cluster_tilting(q, obj):
+        raise ValueError("input is not a cluster tilting object of this quiver")
+    if args.src == "support" and not tors.is_support_tilting(q, obj):
+        raise ValueError("input is not a support tilting object of this quiver")
     if args.src == "wide" and ncmap.wide_of_nc(q, ncmap.cox_of_wide(q, obj)) != obj:
         raise ValueError("input is not a wide subcategory of this quiver")
     out = _map_object(q, args.src, args.dst, obj)
@@ -389,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     except (QuiverSyntaxError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RuntimeError as exc:  # FingerprintError and the internal invariant checks
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .quiver import Quiver, Root, Vertex, positive_roots, require_finite_type, support
 from .replab import ext_dim_roots
-from .tors import IndecSet, gen, is_support_tilting
+from .tors import IndecSet, is_support_tilting, torsion_closure
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,17 @@ def cluster_tilting_objects(q: Quiver) -> tuple[ClusterTilting, ...]:
     return tuple(sorted(found, key=lambda t: sorted(x.sort_key() for x in t)))
 
 
+def is_cluster_tilting(q: Quiver, t: ClusterTilting) -> bool:
+    """n distinct pairwise-orthogonal indecomposables of the cluster category
+    of q; a basic rigid object with n summands is cluster tilting."""
+    t = frozenset(t)
+    return (
+        len(t) == q.n
+        and t <= set(all_cc_indecs(q))
+        and all(cc_ext_orthogonal(q, x, y) for x in t for y in t)
+    )
+
+
 def complete_support_tilting(q: Quiver, c: IndecSet) -> ClusterTilting:
     """Add the shifted projectives of the vertices outside the support."""
     if not is_support_tilting(q, c):
@@ -143,7 +154,7 @@ def mutate(q: Quiver, t: ClusterTilting, x: CCIndec) -> ClusterTilting:
 
 def gen_of(q: Quiver, t: ClusterTilting) -> IndecSet:
     """Gen of the rep-part summands (shifts contribute nothing)."""
-    return gen(q, support_tilting_of(t))
+    return torsion_closure(q, support_tilting_of(t))
 
 
 def gen_leq(q: Quiver, t: ClusterTilting, v: ClusterTilting) -> bool:

@@ -18,7 +18,7 @@ from .replab import (
     indecomposable,
     subrep_dimvectors,
 )
-from .tors import IndecSet, a_of, gen, is_support_tilting, split_projectives
+from .tors import IndecSet, a_of, is_support_tilting, split_projectives, torsion_closure
 
 Stability = tuple  # of int, one coefficient per vertex
 
@@ -37,7 +37,7 @@ def euler_row(q: Quiver, t: Root) -> Stability:
 
 def default_coefficients(q: Quiver, c: IndecSet) -> tuple[dict[Root, int], dict[Vertex, int]]:
     """a_i = 1 on non-split summands (0 on split), b_j = -1 off support."""
-    split = split_projectives(q, gen(q, c))
+    split = split_projectives(q, torsion_closure(q, c))
     a = {r: (0 if r in split else 1) for r in c}
     supp: set[Vertex] = set()
     for r in c:
@@ -65,7 +65,7 @@ def theta_of_support_tilting(
     off = {v for v in q.vertices if v not in supp}
     if set(b) != off:
         raise ValueError("b-coefficients must be indexed exactly by the off-support vertices")
-    split = split_projectives(q, gen(q, c))
+    split = split_projectives(q, torsion_closure(q, c))
     for r, coeff in a.items():
         if r in split and coeff != 0:
             raise ValueError(f"a-coefficient of split projective {r} must be 0")
@@ -124,7 +124,7 @@ def verify_semistable_theorem(
         a, b = default_coefficients(q, c)
     theta = theta_of_support_tilting(q, c, a, b)
     semis = semistable_indecs(q, theta, cap)
-    wide = a_of(q, gen(q, c))
+    wide = a_of(q, torsion_closure(q, c))
     return SemistableReport(
         support_tilting=tuple(sorted(c)),
         theta=theta,

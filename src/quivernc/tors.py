@@ -2,8 +2,10 @@
 the wide-subcategory extraction a(T).
 
 Subcategories closed under sums and summands are identified with their sets
-of indecomposables, i.e. with frozensets of positive roots.  The brute-force
-oracles work with explicit GF(2) representations.
+of indecomposables, i.e. with frozensets of positive roots.  Production
+torsion classes come from `torsion_closure` on Hom bitsets; `gen` (a trace
+over explicit Hom bases) and the brute-force GF(2) oracles are references
+that `verify` and the tests compare against.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def gen(q: Quiver, s: IndecSet, field=QQ) -> IndecSet:
     """Indecomposables of Gen(S): quotients of finite sums of members.
 
     X lies in Gen(S) iff the trace of S in X (the sum of all images of
-    morphisms out of add S) is all of X.
+    morphisms out of add S) is all of X.  This is the oracle for
+    `torsion_closure`.
     """
     require_finite_type(q)
     s = frozenset(s)
@@ -66,6 +69,36 @@ def gen(q: Quiver, s: IndecSet, field=QQ) -> IndecSet:
         ):
             out.add(x)
     return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def _hom_masks(q: Quiver) -> dict[Root, int]:
+    """Bit j of root a's mask is set when Hom(M_a, M_b) != 0, b the j-th
+    positive root."""
+    roots = positive_roots(q)
+    return {
+        a: sum(1 << j for j, b in enumerate(roots) if hom_dim_roots(q, a, b) > 0)
+        for a in roots
+    }
+
+
+def torsion_closure(q: Quiver, s: IndecSet) -> IndecSet:
+    """Indecomposables of T(S) = ⊥(S^⊥), the smallest torsion class
+    containing S.
+
+    S^⊥ is every root that no member of S maps to; T(S) is every root that
+    maps to no root of S^⊥.  T(S) = Gen(S) whenever Gen(S) is a torsion
+    class: for rigid S (support tilting objects and their subsets, since
+    Ext^1 is right exact on a hereditary category) and for wide S.
+    """
+    s = frozenset(s)
+    _check_roots(q, s)
+    masks = _hom_masks(q)
+    reached = 0
+    for r in s:
+        reached |= masks[r]
+    perp = ~reached
+    return frozenset(x for x, mask in masks.items() if not mask & perp)
 
 
 @lru_cache(maxsize=None)
@@ -210,19 +243,14 @@ def ext_projectives(q: Quiver, t: IndecSet) -> IndecSet:
 
 
 def split_projectives(q: Quiver, t: IndecSet) -> IndecSet:
-    """The minimal generator: ext-projectives with redundant summands removed."""
+    """The minimal generator: the Ext-projectives x of T with x outside
+    T(P - x), P the set of all of them."""
     t = frozenset(t)
-    current = set(ext_projectives(q, t))
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(current):
-            if x in gen(q, frozenset(current - {x})):
-                current.remove(x)
-                changed = True
-                break
-    result = frozenset(current)
-    if gen(q, result) != t:
+    projectives = ext_projectives(q, t)
+    result = frozenset(
+        x for x in projectives if x not in torsion_closure(q, projectives - {x})
+    )
+    if torsion_closure(q, result) != t:
         raise RuntimeError("minimal generator does not generate the torsion class")
     return result
 
@@ -286,7 +314,7 @@ def enumerate_support_tilting(q: Quiver) -> tuple[IndecSet, ...]:
 @lru_cache(maxsize=None)
 def enumerate_torsion_classes(q: Quiver) -> tuple[IndecSet, ...]:
     """All finitely generated torsion classes, as Gen of support tiltings."""
-    classes = [gen(q, c) for c in enumerate_support_tilting(q)]
+    classes = [torsion_closure(q, c) for c in enumerate_support_tilting(q)]
     ordered = sorted(set(classes), key=lambda s: (len(s), sorted(s)))
     if len(ordered) != len(classes):
         raise RuntimeError("support tilting objects generated a repeated torsion class")

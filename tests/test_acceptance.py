@@ -33,6 +33,7 @@ from quivernc import (
     mutate,
     nc_of_torsion,
     noncrossing_partitions,
+    parse_quiver,
     positive_roots,
     principal_torsion_classes,
     reading_cl,
@@ -54,18 +55,37 @@ from quivernc.weyl import fixed_space, reduced_word
 
 def catalan_number(q):
     """Independent count oracle: prod (e_i + h + 1) / (e_i + 1) from the
-    exponent table of the underlying diagram (path = A_n, 3-star = D_4)."""
-    degrees = [0] * q.n
+    exponent table of the underlying connected diagram: A_n is a path, and
+    D_n, E6 and E7 are stars whose three arms have lengths (1, 1, n - 3),
+    (1, 2, 2) and (1, 2, 3)."""
+    n = q.n
+    adj = {v: set() for v in range(1, n + 1)}
     for s, t in q.arrows:
-        degrees[s - 1] += 1
-        degrees[t - 1] += 1
-    degseq = sorted(degrees, reverse=True)
-    if q.n == 1:
+        adj[s].add(t)
+        adj[t].add(s)
+    degseq = sorted((len(nbrs) for nbrs in adj.values()), reverse=True)
+    branch = [v for v, nbrs in adj.items() if len(nbrs) == 3]
+    arms = []
+    if len(branch) == 1 and degseq[1] <= 2:
+        for v in adj[branch[0]]:
+            prev, length = branch[0], 1
+            while len(adj[v]) == 2:
+                prev, v = v, next(iter(adj[v] - {prev}))
+                length += 1
+            arms.append(length)
+        arms.sort()
+    if n == 1:
         exponents = [1]
     elif degseq[0] <= 2 and degseq.count(1) == 2:
-        exponents = list(range(1, q.n + 1))  # type A path
-    elif q.n == 4 and degseq == [3, 1, 1, 1]:
-        exponents = [1, 3, 3, 5]  # type D4
+        exponents = list(range(1, n + 1))  # type A path
+    elif sum(arms) + 1 != n:
+        raise ValueError("no exponent table for this diagram")
+    elif arms[:2] == [1, 1]:
+        exponents = list(range(1, 2 * n - 2, 2)) + [n - 1]  # type D_n
+    elif arms == [1, 2, 2]:
+        exponents = [1, 4, 5, 7, 8, 11]  # type E6
+    elif arms == [1, 2, 3]:
+        exponents = [1, 5, 7, 9, 11, 13, 17]  # type E7
     else:
         raise ValueError("no exponent table for this diagram")
     h = max(exponents) + 1
@@ -102,6 +122,18 @@ def test_criterion_01_counts(fix, request):
         assert count == expected, f"{name}: {count} != {expected}"
         assert elapsed < 10.0, f"{name} took {elapsed:.1f}s"
     print(f"[PASS] criterion 1 ({fix}): all five counts equal {expected}")
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5", 182),
+    ("vertices 6\narrow 2 1\narrow 2 3\narrow 4 3\narrow 4 5\narrow 4 6", 672),
+    ("vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6", 833),
+    ("vertices 7\narrow 2 1\narrow 2 3\narrow 4 3\narrow 4 5\narrow 6 5\narrow 7 3", 4160),
+], ids=["d5", "d6", "e6", "e7"])
+def test_torsion_class_counts_match_degree_product(text, expected):
+    q = parse_quiver(text)
+    assert catalan_number(q) == expected
+    assert len(enumerate_torsion_classes(q)) == expected
 
 
 @pytest.mark.parametrize("fix", ["a2", "a3", "a4", "d4"])

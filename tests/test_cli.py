@@ -241,6 +241,52 @@ class TestWeylFree:
         assert code == 0 and len(json.loads(out)) == 12
 
 
+class TestHomSolveFree:
+    """Production torsion classes never solve for a Hom basis.  The AR
+    quiver (`ar`, and the AR positions in `table`) still does; it is built
+    before the patch."""
+
+    @pytest.fixture(autouse=True)
+    def no_hom_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("production path solved for a Hom basis")
+
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "quivernc"]
+        for module in modules:  # no torsion class cached by an earlier test
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+        replab.ar_quiver(quivernc.parse_quiver(D4))
+        for module in modules:
+            if getattr(module, "hom_basis", None) is replab.hom_basis:
+                monkeypatch.setattr(module, "hom_basis", refuse)
+            if getattr(module, "gen", None) is tors.gen:
+                monkeypatch.setattr(module, "gen", refuse)
+
+    def test_table(self, capsys):
+        code, out, _ = run(capsys, "table", D4)
+        assert code == 0 and len(out.splitlines()) == 51
+
+    @pytest.mark.parametrize("what", ["torsion", "nc", "sortables"])
+    def test_enumerate(self, capsys, what):
+        code, out, _ = run(capsys, "enumerate", "--what", what, D4)
+        assert code == 0 and len(out.splitlines()) == 50
+
+    @pytest.mark.parametrize("src,dst,obj,size", [
+        ("support", "torsion", [[0, 0, 1, 0], [0, 1, 1, 0], [0, 1, 1, 1]], 5),
+        ("wide", "torsion", [[1, 1, 1, 1]], 9),
+        ("cluster", "nc", {"summands": [{"rep": [0, 0, 0, 1]}, {"rep": [0, 0, 1, 0]},
+                                        {"rep": [0, 1, 1, 1]}, {"rep": [1, 1, 1, 1]}]}, None),
+        ("torsion", "wide", [[0, 1, 0, 0], [0, 1, 0, 1], [1, 1, 0, 0], [1, 1, 0, 1]], 1),
+    ])
+    def test_map(self, capsys, src, dst, obj, size):
+        code, out, _ = run(capsys, "map", D4, "--from", src, "--to", dst,
+                           "--object", json.dumps(obj))
+        assert code == 0
+        if size is not None:
+            assert len(json.loads(out)) == size
+
+
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "exceptional", A2)
@@ -287,13 +333,50 @@ class TestErrors:
     ["map", A3, "--from", "cluster", "--to", "support", "--object", "[1]"],
     ["map", A3, "--from", "cluster", "--to", "support", "--object", "{}"],
     ["map", A3, "--from", "torsion", "--to", "wide", "--object", "5"],
+    ["map", A3, "--from", "support", "--to", "torsion", "--object", "[[1,0,0],[0,1,0]]"],
+    ["map", A3, "--from", "support", "--to", "torsion", "--object", "[[9,9,9]]"],
+    ["map", A3, "--from", "cluster", "--to", "torsion", "--object", '{"summands":[{"shift":7}]}'],
+    ["map", A3, "--from", "cluster", "--to", "support", "--object", '{"summands":[{"rep":[5,5,5]}]}'],
+    ["map", A3, "--from", "cluster", "--to", "torsion",
+     "--object", '{"summands":[{"shift":1},{"shift":1},{"shift":2}]}'],
+    ["map", A3, "--from", "cluster", "--to", "nc",
+     "--object", '{"summands":[{"rep":[1,0,0]},{"rep":[0,1,0]},{"shift":3}]}'],
     ["verify", A3, "--cap", "-5"],
     ["verify", A3, "--cap", "0"],
 ], ids=["directory", "letter-0", "letter-neg", "letter-9", "word-str", "nc-list",
-        "cluster-list", "cluster-empty", "torsion-int", "cap-neg", "cap-0"])
+        "cluster-list", "cluster-empty", "torsion-int", "support-not-rigid",
+        "support-not-roots", "cluster-shift-7", "cluster-rep-555", "cluster-repeated",
+        "cluster-not-orthogonal", "cap-neg", "cap-0"])
 def test_bad_input_is_usage_error_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "quivernc.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+A3_TORSION = "[[0,1,0],[0,1,1],[1,1,0],[1,1,1]]"
+
+
+@pytest.mark.parametrize("patch,argv,message", [
+    ("from quivernc.errors import FingerprintError\n"
+     "def boom(*args):\n    raise FingerprintError('no module matches')\n"
+     "tors.enumerate_torsion_classes = boom",
+     ["enumerate", "--what", "torsion", A3], "no module matches"),
+    # a generator check that fails for real: with no Ext-projectives the
+    # minimal generator is empty and does not generate T
+    ("tors.ext_projectives = lambda q, t: frozenset()",
+     ["map", A3, "--from", "torsion", "--to", "wide", "--object", A3_TORSION],
+     "minimal generator does not generate"),
+], ids=["fingerprint", "split-projectives"])
+def test_internal_error_exit_four_without_traceback(patch, argv, message):
+    code = (
+        "import sys\nfrom quivernc import cli, tors\n" + patch
+        + f"\nsys.exit(cli.main({argv!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "error: internal:" in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -12,8 +12,11 @@ from quivernc import (
     absolute_length,
     cover_reflections,
     coxeter_element,
+    enumerate_support_tilting,
     enumerate_torsion_classes,
+    ext_projectives,
     fixed_space,
+    gen,
     indecomposable,
     inversion_set,
     is_c_sortable,
@@ -22,6 +25,8 @@ from quivernc import (
     positive_roots,
     simple_reflection,
     sortable_of_torsion,
+    split_projectives,
+    torsion_closure,
     weyl_group,
 )
 from quivernc.cli import _enumerate_rows, _map_step
@@ -110,6 +115,36 @@ def test_wide_simples_match_gf2_definition(q):
     for t in enumerate_torsion_classes(q):
         a = a_of(q, t)
         assert set(wide_simples(q, a)) == gf2_simples(q, a), sorted(t)
+
+
+def split_projectives_by_removal(q, t):
+    """The minimal generator by its definition: drop one Ext-projective that
+    lies in Gen of the others, recompute, repeat."""
+    current = set(ext_projectives(q, t))
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(current):
+            if x in gen(q, frozenset(current - {x})):
+                current.remove(x)
+                changed = True
+                break
+    return frozenset(current)
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_torsion_closure_matches_gen(q):
+    for c in enumerate_support_tilting(q):
+        assert torsion_closure(q, c) == gen(q, c), sorted(c)
+    for t in enumerate_torsion_classes(q):
+        a = a_of(q, t)
+        assert torsion_closure(q, a) == gen(q, a) == t, sorted(t)
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_split_projectives_match_removal_loop(q):
+    for t in enumerate_torsion_classes(q):
+        assert split_projectives(q, t) == split_projectives_by_removal(q, t), sorted(t)
 
 
 @pytest.mark.parametrize("q", QUIVERS)
