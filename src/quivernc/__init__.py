@@ -74,7 +74,6 @@ from .cluster import (
     complete_support_tilting,
     gen_leq,
     gen_of,
-    is_cluster_tilting,
     mutate,
     support_tilting_of,
 )

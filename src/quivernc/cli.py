@@ -2,7 +2,16 @@
 
 Verbs: roots, ar, enumerate, map, table, verify.  The quiver argument is a
 file path or inline DSL text.  All data output uses canonical orderings so
-repeated runs are byte-identical.
+repeated runs are byte-identical.  `--format` takes tsv or json (`ar` also
+dot); `map` reads and writes JSON only.
+
+Six kinds of object correspond one to one with the torsion classes:
+cluster tilting and support tilting objects, torsion classes, wide
+subcategories, noncrossing partitions and sortable elements.  `_KINDS`
+holds, per kind, a map to the torsion class and one back from it.  `map`
+sends its object to its torsion class and on to the target kind; `table`
+prints every kind of every torsion class.  A `map` input must be the image
+of its own torsion class, or it is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap or
 type error, 4 internal error (an invariant check failed, such as a
@@ -20,7 +29,7 @@ from . import cluster as clus
 from . import ncmap, replab, tors, verify
 from .errors import NotFiniteTypeError, OracleCapError, QuiverSyntaxError
 from .quiver import Quiver, coxeter_element_word, parse_quiver, positive_roots
-from .weyl import c_sorting_word, reduced_word, reflection, word_to_element
+from .weyl import c_sorting_word, inversion_set, reduced_word, reflection, word_to_element
 
 USAGE_ERROR, CAP_ERROR, INTERNAL_ERROR = 2, 3, 4
 
@@ -134,9 +143,6 @@ def cmd_enumerate(q: Quiver, args) -> int:
     return 0
 
 
-_CHAIN = ("cluster", "support", "torsion", "wide", "nc")
-
-
 def _int_list(x) -> bool:
     return isinstance(x, list) and all(type(v) is int for v in x)
 
@@ -182,68 +188,50 @@ def _emit_object(q: Quiver, kind: str, obj) -> str:
     raise ValueError(f"unknown object kind {kind!r}")
 
 
-def _map_step(q: Quiver, src: str, dst: str, obj):
-    if (src, dst) == ("cluster", "support"):
-        return clus.support_tilting_of(obj)
-    if (src, dst) == ("support", "cluster"):
-        return clus.complete_support_tilting(q, obj)
-    if (src, dst) == ("support", "torsion"):
-        return tors.torsion_closure(q, obj)
-    if (src, dst) == ("torsion", "support"):
-        return tors.ext_projectives(q, obj)
-    if (src, dst) == ("torsion", "wide"):
-        return tors.a_of(q, obj)
-    if (src, dst) == ("wide", "torsion"):
-        return tors.torsion_closure(q, obj)
-    if (src, dst) == ("wide", "nc"):
-        return ncmap.cox_of_wide(q, obj)
-    if (src, dst) == ("nc", "wide"):
-        wide = ncmap.wide_of_nc(q, obj)
-        try:
-            if ncmap.cox_of_wide(q, wide) == obj:
-                return wide
-        except ValueError:  # the roots in im(w - 1) admit no exceptional order
-            pass
-        raise ValueError("group element is not a noncrossing partition of this quiver")
-    if (src, dst) == ("torsion", "sortable"):
-        return ncmap.sortable_of_torsion(q, obj)
-    if (src, dst) == ("sortable", "torsion"):
-        return ncmap.torsion_of_sortable(q, obj)
-    raise ValueError(f"no direct map from {src} to {dst}")
+# kind: (name, object -> its torsion class, torsion class -> object), in
+# the column order of `table`.  The lambdas look each map up at call time,
+# so a patched or traced library function is the one that runs.
+_KINDS = {
+    "cluster": ("a cluster tilting object",
+                lambda q, x: clus.gen_of(q, x),
+                lambda q, t: clus.complete_support_tilting(q, tors.ext_projectives(q, t))),
+    "support": ("a support tilting object",
+                lambda q, x: tors.torsion_closure(q, x),
+                lambda q, t: tors.ext_projectives(q, t)),
+    "torsion": ("a torsion class",
+                lambda q, x: tors.torsion_closure(q, x),
+                lambda q, t: t),
+    "wide": ("a wide subcategory",
+             lambda q, x: tors.torsion_closure(q, x),
+             lambda q, t: tors.a_of(q, t)),
+    "nc": ("a noncrossing partition",
+           lambda q, w: tors.torsion_closure(q, ncmap.wide_of_nc(q, w)),
+           lambda q, t: ncmap.nc_of_torsion(q, t)),
+    "sortable": ("a sortable element",
+                 lambda q, w: tors.torsion_closure(q, inversion_set(q, w)),
+                 lambda q, t: ncmap.sortable_of_torsion(q, t)),
+}
 
 
-def _map_object(q: Quiver, src: str, dst: str, obj):
-    if src == dst:
-        return obj
-    if "sortable" in (src, dst):
-        if src == "sortable":
-            return _map_object(q, "torsion", dst, _map_step(q, "sortable", "torsion", obj))
-        obj = _map_object(q, src, "torsion", obj)
-        return _map_step(q, "torsion", "sortable", obj)
-    i, j = _CHAIN.index(src), _CHAIN.index(dst)
-    step = 1 if j > i else -1
-    while i != j:
-        obj = _map_step(q, _CHAIN[i], _CHAIN[i + step], obj)
-        i += step
-    return obj
+def _torsion_of(q: Quiver, kind: str, obj):
+    """The torsion class of obj, checked by the round trip: each of_torsion
+    is a bijection from the torsion classes onto its kind, inverted there by
+    to_torsion, so obj is of its kind exactly when it is its class's image."""
+    name, to_torsion, of_torsion = _KINDS[kind]
+    t = to_torsion(q, obj)
+    if of_torsion(q, t) != obj:
+        raise ValueError(f"input is not {name} of this quiver")
+    return t
 
 
 def cmd_map(q: Quiver, args) -> int:
-    obj = _parse_object(q, args.src, args.object)
-    # torsion_closure is Gen only on rigid or wide input, so check the source
-    if args.src == "cluster" and not clus.is_cluster_tilting(q, obj):
-        raise ValueError("input is not a cluster tilting object of this quiver")
-    if args.src == "support" and not tors.is_support_tilting(q, obj):
-        raise ValueError("input is not a support tilting object of this quiver")
-    if args.src == "wide" and ncmap.wide_of_nc(q, ncmap.cox_of_wide(q, obj)) != obj:
-        raise ValueError("input is not a wide subcategory of this quiver")
-    out = _map_object(q, args.src, args.dst, obj)
-    print(_emit_object(q, args.dst, out))
+    t = _torsion_of(q, args.src, _parse_object(q, args.src, args.object))
+    print(_emit_object(q, args.dst, _KINDS[args.dst][2](q, t)))
     return 0
 
 
 def cmd_table(q: Quiver, args) -> int:
-    """One row per torsion class: the full correspondence chain.
+    """One row per torsion class: its object of every kind in `_KINDS`.
 
     Roots in the text table carry their AR-quiver position as [coords]#k.
     """
@@ -262,14 +250,10 @@ def cmd_table(q: Quiver, args) -> int:
             for x in sorted(t, key=clus.CCIndec.sort_key)
         )
 
-    rows = []
-    for t in tors.enumerate_torsion_classes(q):
-        c = tors.ext_projectives(q, t)
-        ct = clus.complete_support_tilting(q, c)
-        wide = tors.a_of(q, t)
-        nc = ncmap.nc_of_torsion(q, t)
-        w = ncmap.sortable_of_torsion(q, t)
-        rows.append((ct, c, t, wide, nc, w))
+    rows = [
+        tuple(of_torsion(q, t) for _, _, of_torsion in _KINDS.values())
+        for t in tors.enumerate_torsion_classes(q)
+    ]
     if args.format == "json":
         print(
             _json(
@@ -341,25 +325,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name: str, **kwargs):
+    def add(name: str, formats=("tsv", "json"), **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("quiver", help="path to a quiver file, or inline DSL")
-        p.add_argument("--format", choices=("tsv", "json", "dot"), default="tsv")
+        if formats:
+            p.add_argument("--format", choices=formats, default="tsv")
         return p
 
     add("roots", help="positive roots in canonical order")
-    add("ar", help="Auslander-Reiten quiver (tsv, json or dot)")
+    add("ar", formats=("tsv", "json", "dot"), help="Auslander-Reiten quiver (tsv, json or dot)")
     p = add("enumerate", help="enumerate objects of one kind")
     p.add_argument(
         "--what",
         required=True,
         choices=("torsion", "support-tilting", "clusters", "nc", "sortables", "exceptional"),
     )
-    p = add("map", help="map an object across the bijection chain")
-    p.add_argument("--from", dest="src", required=True,
-                   choices=("cluster", "support", "torsion", "wide", "nc", "sortable"))
-    p.add_argument("--to", dest="dst", required=True,
-                   choices=("cluster", "support", "torsion", "wide", "nc", "sortable"))
+    p = add("map", formats=(), help="map an object to another kind (JSON in, JSON out)")
+    p.add_argument("--from", dest="src", required=True, choices=tuple(_KINDS))
+    p.add_argument("--to", dest="dst", required=True, choices=tuple(_KINDS))
     p.add_argument("--object", required=True, help="JSON encoding of the source object")
     add("table", help="the full correspondence table, one row per torsion class")
     p = add("verify", help="run verification suites")

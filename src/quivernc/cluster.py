@@ -105,17 +105,6 @@ def cluster_tilting_objects(q: Quiver) -> tuple[ClusterTilting, ...]:
     return tuple(sorted(found, key=lambda t: sorted(x.sort_key() for x in t)))
 
 
-def is_cluster_tilting(q: Quiver, t: ClusterTilting) -> bool:
-    """n distinct pairwise-orthogonal indecomposables of the cluster category
-    of q; a basic rigid object with n summands is cluster tilting."""
-    t = frozenset(t)
-    return (
-        len(t) == q.n
-        and t <= set(all_cc_indecs(q))
-        and all(cc_ext_orthogonal(q, x, y) for x in t for y in t)
-    )
-
-
 def complete_support_tilting(q: Quiver, c: IndecSet) -> ClusterTilting:
     """Add the shifted projectives of the vertices outside the support."""
     if not is_support_tilting(q, c):

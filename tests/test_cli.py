@@ -8,14 +8,34 @@ from pathlib import Path
 import pytest
 
 import quivernc
-from quivernc import positive_roots, replab, tors, weyl
-from quivernc.cli import main
+from quivernc import (
+    absolute_leq,
+    cluster_tilting_objects,
+    coxeter_element,
+    enumerate_support_tilting,
+    is_c_sortable,
+    is_torsion_class,
+    parse_quiver,
+    positive_roots,
+    replab,
+    tors,
+    weyl,
+    weyl_group,
+)
+from quivernc.cli import _KINDS, _emit_object, main
+from quivernc.cluster import all_cc_indecs
+from quivernc.quiver import coxeter_element_word
+from quivernc.tors import is_wide
 
 A2 = "vertices 2\narrow 2 1"
 A3 = "vertices 3\narrow 2 1\narrow 2 3"
 A5 = "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5"
 D4 = "vertices 4\narrow 2 1\narrow 2 3\narrow 2 4"
 WILD = "vertices 2\narrow 1 2\narrow 1 2\narrow 1 2"
+A3_ORIENTATIONS = {
+    f"a3-{a}{b}.{c}{d}": f"vertices 3\narrow {a} {b}\narrow {c} {d}"
+    for (a, b), (c, d) in itertools.product(((1, 2), (2, 1)), ((2, 3), (3, 2)))
+}
 
 
 def run(capsys, *argv):
@@ -119,18 +139,34 @@ class TestMap:
                            "--object", json.dumps([[0, 1], [1, 0], [1, 1]]))
         assert code == 0 and json.loads(out)["word"] == [2, 1]
 
-    def test_wide_check_accepts_exactly_wide_subcategories(self, a3):
-        """Over every set of roots of A3, the check behind `--from wide`
-        accepts exactly the wide subcategories a(T)."""
-        wides = {tors.a_of(a3, t) for t in tors.enumerate_torsion_classes(a3)}
-        roots = positive_roots(a3)
-        for k in range(len(roots) + 1):
-            for subset in itertools.combinations(roots, k):
-                a = frozenset(subset)
-                code = main(["map", A3, "--from", "wide", "--to", "wide",
-                             "--object", json.dumps([list(r) for r in subset])])
-                assert (code == 0) == (a in wides), subset
-                assert code in (0, 2)
+    @pytest.mark.parametrize("text", A3_ORIENTATIONS.values(), ids=A3_ORIENTATIONS)
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_check_accepts_exactly_its_kind(self, capsys, kind, text):
+        """`map --from kind --to kind` echoes exactly the objects of the
+        kind and rejects the rest of its universe: every set of roots, every
+        element of W, every set of cluster-category indecomposables.  The
+        objects of each kind come from searches that do not use the map."""
+        q = parse_quiver(text)
+        items = all_cc_indecs(q) if kind == "cluster" else positive_roots(q)
+        universe = weyl_group(q) if kind in ("nc", "sortable") else [
+            frozenset(s) for k in range(len(items) + 1) for s in itertools.combinations(items, k)]
+        if kind == "cluster":
+            members = set(cluster_tilting_objects(q))
+        elif kind == "support":
+            members = set(enumerate_support_tilting(q))
+        else:
+            is_member = {
+                "torsion": lambda x: is_torsion_class(q, x),
+                "wide": lambda x: is_wide(q, x),
+                "nc": lambda w: absolute_leq(q, w, coxeter_element(q)),
+                "sortable": lambda w: is_c_sortable(q, w, coxeter_element_word(q)),
+            }[kind]
+            members = {x for x in universe if is_member(x)}
+        assert len(members) == 14
+        for obj in universe:
+            text_obj = _emit_object(q, kind, obj)
+            got = run(capsys, "map", text, "--from", kind, "--to", kind, "--object", text_obj)
+            assert got[:2] == ((0, text_obj + "\n") if obj in members else (2, "")), text_obj
 
     def test_bad_object(self, capsys):
         code, _, err = run(capsys, "map", A2, "--from", "torsion", "--to", "nc",
@@ -322,6 +358,16 @@ class TestErrors:
         code, _, err = run(capsys, "enumerate", "--what", "exceptional", A5)
         assert code == 3 and "capped at rank 4" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["table", A2, "--format", "dot"],
+        ["roots", A2, "--format", "dot"],
+        ["map", A2, "--from", "torsion", "--to", "torsion", "--object", "[]", "--format", "json"],
+    ])
+    def test_format_only_where_honoured(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
 
 @pytest.mark.parametrize("argv", [
     ["roots", str(Path(__file__).parent)],
@@ -341,12 +387,19 @@ class TestErrors:
      "--object", '{"summands":[{"shift":1},{"shift":1},{"shift":2}]}'],
     ["map", A3, "--from", "cluster", "--to", "nc",
      "--object", '{"summands":[{"rep":[1,0,0]},{"rep":[0,1,0]},{"shift":3}]}'],
+    ["map", A3, "--from", "torsion", "--to", "torsion", "--object", "[[0,0,1],[0,1,1],[1,1,1]]"],
+    ["map", A3, "--from", "torsion", "--to", "torsion", "--object", "[[9,9,9]]"],
+    ["map", A3, "--from", "torsion", "--to", "sortable", "--object", "[[0,0,1],[0,1,1],[1,1,1]]"],
+    ["map", A3, "--from", "nc", "--to", "nc", "--object", '{"word":[1,2,3,1,2,3,1]}'],
+    ["map", A3, "--from", "sortable", "--to", "sortable", "--object", '{"word":[3,2,1]}'],
     ["verify", A3, "--cap", "-5"],
     ["verify", A3, "--cap", "0"],
 ], ids=["directory", "letter-0", "letter-neg", "letter-9", "word-str", "nc-list",
         "cluster-list", "cluster-empty", "torsion-int", "support-not-rigid",
         "support-not-roots", "cluster-shift-7", "cluster-rep-555", "cluster-repeated",
-        "cluster-not-orthogonal", "cap-neg", "cap-0"])
+        "cluster-not-orthogonal", "torsion-not-closed", "torsion-not-roots",
+        "torsion-to-sortable-not-closed", "nc-not-below-cox", "sortable-not-sortable",
+        "cap-neg", "cap-0"])
 def test_bad_input_is_usage_error_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "quivernc.cli", *argv],

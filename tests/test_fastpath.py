@@ -3,6 +3,7 @@ matrix-inverse oracles, on every orientation of A3, A4 and D4 (the Weyl
 checks also on a disconnected quiver)."""
 
 import itertools
+from argparse import Namespace
 
 import pytest
 
@@ -10,6 +11,7 @@ from quivernc import (
     a_of,
     absolute_leq,
     absolute_length,
+    cluster_tilting_objects,
     cover_reflections,
     coxeter_element,
     enumerate_support_tilting,
@@ -29,7 +31,7 @@ from quivernc import (
     torsion_closure,
     weyl_group,
 )
-from quivernc.cli import _enumerate_rows, _map_step
+from quivernc.cli import _KINDS, _emit_object, _enumerate_rows, _torsion_of, cmd_map
 from quivernc.fields import GF2, QQ
 from quivernc.ncmap import cox_of_wide, wide_of_nc
 from quivernc.quiver import coxeter_element_word, ext_dim_roots, hom_dim_roots, simple_roots
@@ -163,12 +165,29 @@ def test_nc_to_wide_accepts_exactly_nc(q):
     accepted = set()
     for w in weyl_group(q):
         try:
-            _map_step(q, "nc", "wide", w)
+            _torsion_of(q, "nc", w)
         except ValueError as exc:
             assert "not a noncrossing partition" in str(exc)
         else:
             accepted.add(w)
     assert accepted == nc
+
+
+@pytest.mark.parametrize("q", [p for p in QUIVERS if not p.id.startswith("a4")])
+def test_map_sends_each_kind_of_a_torsion_class_to_every_kind(q, capsys):
+    """All 36 (--from, --to) pairs, equal ones included, on every torsion
+    class: `map` takes the class's --from object to its --to object.  The
+    cluster and support columns equal the independent subset searches."""
+    rows = [{kind: of_torsion(q, t) for kind, (_, _, of_torsion) in _KINDS.items()}
+            for t in enumerate_torsion_classes(q)]
+    for kind, search in (("cluster", cluster_tilting_objects), ("support", enumerate_support_tilting)):
+        column = {row[kind] for row in rows}
+        assert len(column) == len(rows) and column == set(search(q))
+    for row in rows:
+        emitted = {kind: _emit_object(q, kind, obj) for kind, obj in row.items()}
+        for src, dst in itertools.product(_KINDS, repeat=2):
+            cmd_map(q, Namespace(src=src, dst=dst, object=emitted[src]))
+            assert capsys.readouterr().out == emitted[dst] + "\n", (src, dst)
 
 
 def inversion_set_by_inverse(q, w):
