@@ -29,7 +29,7 @@ from . import cluster as clus
 from . import ncmap, replab, tors, verify
 from .errors import NotFiniteTypeError, OracleCapError, QuiverSyntaxError
 from .quiver import Quiver, coxeter_element_word, parse_quiver, positive_roots
-from .weyl import c_sorting_word, inversion_set, reduced_word, reflection, word_to_element
+from .weyl import c_sorting_word, inversion_set, reduced_word, reflection_root, word_to_element
 
 USAGE_ERROR, CAP_ERROR, INTERNAL_ERROR = 2, 3, 4
 
@@ -60,7 +60,7 @@ def _word_str(word) -> str:
 
 def _nc_str(q: Quiver, w) -> str:
     """Reflections render as s[root coords], other elements as reduced words."""
-    root = next((r for r in positive_roots(q) if reflection(q, r) == w), None)
+    root = reflection_root(q, w)
     if root is not None:
         return "s" + _root_str(root)
     return _word_str(reduced_word(q, w))
@@ -106,11 +106,7 @@ def _enumerate_rows(q: Quiver, what: str) -> list:
             ncmap.nc_of_torsion(q, t) for t in tors.enumerate_torsion_classes(q)
         ]
     if what == "sortables":
-        cword = coxeter_element_word(q)
-        words = [
-            c_sorting_word(q, ncmap.sortable_of_torsion(q, t), cword)
-            for t in tors.enumerate_torsion_classes(q)
-        ]
+        words = [ncmap.sorting_word_of_torsion(q, t) for t in tors.enumerate_torsion_classes(q)]
         return sorted(words, key=lambda w: (len(w), w))
     if what == "exceptional":
         return [list(s) for s in ncmap.complete_exceptional_sequences(q)]

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .quiver import Quiver, Root, Vertex, positive_roots, require_finite_type, support
 from .replab import ext_dim_roots
-from .tors import IndecSet, is_support_tilting, torsion_closure
+from .tors import IndecSet, compatible_sets, is_support_tilting, torsion_closure
 
 
 @dataclass(frozen=True)
@@ -82,24 +82,15 @@ def cluster_tilting_objects(q: Quiver) -> tuple[ClusterTilting, ...]:
     """All maximal pairwise-orthogonal objects; each has exactly n summands."""
     items = all_cc_indecs(q)
     orth = {
-        (a, b): cc_ext_orthogonal(q, a, b) for a in items for b in items
+        a: sum(1 << j for j, b in enumerate(items) if cc_ext_orthogonal(q, a, b))
+        for a in items
     }
-    found: list[ClusterTilting] = []
-
-    def extend(chosen: tuple[CCIndec, ...], start: int) -> None:
-        if len(chosen) == q.n:
-            found.append(frozenset(chosen))
-            return
-        for i in range(start, len(items)):
-            x = items[i]
-            if all(orth[(x, c)] for c in chosen):
-                extend(chosen + (x,), i + 1)
-
-    extend((), 0)
+    found = [frozenset(t) for t in compatible_sets(items, orth, q.n)]
     for t in found:
-        extra = [
-            z for z in items if z not in t and all(orth[(z, x)] for x in t)
-        ]
+        allowed = (1 << len(items)) - 1
+        for x in t:
+            allowed &= orth[x]
+        extra = [z for j, z in enumerate(items) if allowed >> j & 1 and z not in t]
         if extra:
             raise RuntimeError(f"cluster tilting object {sorted(t, key=CCIndec.sort_key)} is not maximal")
     return tuple(sorted(found, key=lambda t: sorted(x.sort_key() for x in t)))

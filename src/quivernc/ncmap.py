@@ -17,6 +17,7 @@ from .quiver import (
     Root,
     Vertex,
     cartan_matrix,
+    coxeter_element_word,
     positive_roots,
     require_finite_type,
     simple_roots,
@@ -31,14 +32,16 @@ from .weyl import (
     is_c_sortable,
     length_S,
     reflection,
+    reflection_product,
     simple_reflection,
+    sorting_word_of_inversion_set,
     word_to_element,
 )
 
 
 def cox_of_wide(q: Quiver, a: IndecSet) -> GroupElement:
     """Product of the reflections of the simples of A in exceptional order."""
-    return _reflection_product(q, wide_simples(q, a))
+    return reflection_product(q, wide_simples(q, a))
 
 
 def wide_of_nc(q: Quiver, w: GroupElement) -> IndecSet:
@@ -62,23 +65,21 @@ def nc_of_torsion(q: Quiver, t: IndecSet) -> GroupElement:
     return cox_of_wide(q, a_of(q, t))
 
 
-def sortable_of_torsion(q: Quiver, t: IndecSet) -> GroupElement:
-    """The element whose inversion set is exactly Ind(T).
+def sorting_word_of_torsion(q: Quiver, t: IndecSet) -> tuple[Vertex, ...]:
+    """The c-sorting word, c the Coxeter word of Q, of the element whose
+    inversion set is exactly Ind(T); a ValueError when there is none.
 
-    Peels simple roots off the set: if e_v lies in N(w) then
-    N(s_v w) = s_v(N(w) - {e_v}). A set of positive roots is an inversion
-    set exactly when the peel empties it, since every nonempty inversion set
-    holds a simple root.
+    Peels simple roots in c-order passes: e_v lies in N(w) exactly when s_v
+    is a left descent of w, and N(s_v w) = s_v(N(w) - {e_v}). The peel runs
+    on the one vector w(2 rho) = 2 rho - 2 sum(Ind T), see
+    `weyl.sorting_word_of_inversion_set`.
     """
-    roots, simples = set(positive_roots(q)), simple_roots(q)
-    rest, word = set(t), []
-    while rest:
-        v = next((v for v in q.vertices if simples[v - 1] in rest), None)
-        if v is None or not rest <= roots:
-            raise ValueError("no group element has the given roots as inversion set")
-        word.append(v)
-        rest = {simple_reflection(q, v).apply(x) for x in rest - {simples[v - 1]}}
-    return word_to_element(q, tuple(word))
+    return sorting_word_of_inversion_set(q, frozenset(t), coxeter_element_word(q))
+
+
+def sortable_of_torsion(q: Quiver, t: IndecSet) -> GroupElement:
+    """The element whose inversion set is exactly Ind(T)."""
+    return word_to_element(q, sorting_word_of_torsion(q, t))
 
 
 def torsion_of_sortable(q: Quiver, w: GroupElement) -> IndecSet:
@@ -189,15 +190,8 @@ def braid_act(
     out = seq[: i - 1] + new_pair + seq[i + 1 :]
     if not is_exceptional_sequence(q, out):
         raise RuntimeError("braid action left the set of exceptional sequences")
-    if _reflection_product(q, out) != _reflection_product(q, seq):
+    if reflection_product(q, out) != reflection_product(q, seq):
         raise RuntimeError("braid action changed the reflection product")
-    return out
-
-
-def _reflection_product(q: Quiver, seq: tuple[Root, ...]) -> GroupElement:
-    out = GroupElement.identity(q.n)
-    for root in seq:
-        out = out * reflection(q, root)
     return out
 
 

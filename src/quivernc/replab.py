@@ -3,7 +3,10 @@
 Hom/Ext computation, BGP reflection functors, construction of the
 indecomposable for each positive root, subrepresentation enumeration (the
 brute-force oracle substrate), Krull-Schmidt decomposition by Hom
-fingerprints, the AR translate and the AR quiver.
+fingerprints, the AR translate and the AR quiver.  The AR quiver is knitted
+from the projective roots with the Coxeter transformation; its construction
+from explicit Hom bases, `ar_quiver_by_hom_basis`, is an oracle for the
+tests.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .quiver import (
     Quiver,
     Root,
     Vertex,
+    cartan_matrix,
+    coxeter_element_word,
     euler_form,
     ext_dim_roots,  # re-exported: the closed forms live next to euler_form
     hom_dim_roots,
@@ -604,7 +609,48 @@ def tau(q: Quiver, root: Root) -> Root | None:
 
 @lru_cache(maxsize=None)
 def ar_quiver(q: Quiver) -> tuple[tuple[Root, Root], ...]:
-    """Edges of the AR quiver: the number of copies of (L, M) equals
+    """Edges of the AR quiver, knitted from the projective roots.
+
+    Every indecomposable of a Dynkin quiver is preprojective, tau^-k P_v for
+    one k >= 0 and one vertex v, with dimension vector cox(Q)^-k dim P_v.
+    An arrow s -> t of Q is an irreducible map P_t -> P_s, and it gives the
+    AR arrows tau^-k P_t -> tau^-k P_s and tau^-k P_s -> tau^-(k+1) P_t.
+    Checked: the vertices are the positive roots, each once, and every mesh
+    satisfies dim tau^-1 X = sum of the successors of X - dim X.
+    """
+    require_finite_type(q)
+    b = cartan_matrix(q)
+    orbit: dict[tuple[Vertex, int], Root] = {}  # (v, k) -> dim tau^-k P_v
+    for v in q.vertices:
+        x, k = projective_rep(q, v).dims, 0
+        while all(c >= 0 for c in x):  # a root is positive or negative
+            orbit[v, k] = x
+            x, k = list(x), k + 1
+            for u in coxeter_element_word(q):  # cox^-1 = s_{u_n} ... s_{u_1}
+                x[u - 1] -= sum(b[u - 1][j] * x[j] for j in range(q.n))
+            x = tuple(x)
+    if sorted(orbit.values()) != list(positive_roots(q)):
+        raise FingerprintError("the tau^-1 orbits of the projectives are not the positive roots")
+    edges = []
+    for s, t in q.arrows:
+        for (v, k), x in orbit.items():
+            if v == t and (s, k) in orbit:
+                edges.append((x, orbit[s, k]))
+            if v == s and (t, k + 1) in orbit:
+                edges.append((x, orbit[t, k + 1]))
+    successors: dict[Root, list[Root]] = {x: [] for x in orbit.values()}
+    for x, y in edges:
+        successors[x].append(y)
+    for (v, k), x in orbit.items():
+        if (v, k + 1) in orbit and orbit[v, k + 1] != tuple(
+            sum(col) - c for col, c in zip(zip(*successors[x]), x)
+        ):
+            raise FingerprintError(f"the mesh starting at {x} breaks the dimension rule")
+    return tuple(sorted(edges))
+
+
+def ar_quiver_by_hom_basis(q: Quiver) -> tuple[tuple[Root, Root], ...]:
+    """Oracle for `ar_quiver`: the number of copies of (L, M) equals
     dim rad(L,M)/rad^2(L,M), computed from explicit Hom bases."""
     require_finite_type(q)
     roots = positive_roots(q)

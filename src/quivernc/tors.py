@@ -34,7 +34,7 @@ IndecSet = frozenset  # of Root
 
 
 def _check_roots(q: Quiver, s: IndecSet) -> None:
-    bad = [r for r in s if r not in positive_roots(q)]
+    bad = [r for r in s if r not in _bits(q)]
     if bad:
         raise ValueError(f"not positive roots of the quiver: {sorted(bad)}")
 
@@ -72,14 +72,39 @@ def gen(q: Quiver, s: IndecSet, field=QQ) -> IndecSet:
 
 
 @lru_cache(maxsize=None)
+def _bits(q: Quiver) -> dict[Root, int]:
+    """1 << j for the j-th positive root: a set of roots is the sum of its
+    members' bits."""
+    return {a: 1 << j for j, a in enumerate(positive_roots(q))}
+
+
+def _mask(q: Quiver, s) -> int:
+    bits = _bits(q)
+    return sum(bits[r] for r in s)
+
+
+def _union(masks: dict, s) -> int:
+    """The OR of the masks of the members of s."""
+    out = 0
+    for r in s:
+        out |= masks[r]
+    return out
+
+
+@lru_cache(maxsize=None)
 def _hom_masks(q: Quiver) -> dict[Root, int]:
     """Bit j of root a's mask is set when Hom(M_a, M_b) != 0, b the j-th
     positive root."""
     roots = positive_roots(q)
-    return {
-        a: sum(1 << j for j, b in enumerate(roots) if hom_dim_roots(q, a, b) > 0)
-        for a in roots
-    }
+    return {a: _mask(q, (b for b in roots if hom_dim_roots(q, a, b) > 0)) for a in roots}
+
+
+@lru_cache(maxsize=None)
+def _ext_masks(q: Quiver) -> dict[Root, int]:
+    """Bit j of root a's mask is set when Ext^1(M_a, M_b) != 0, b the j-th
+    positive root."""
+    roots = positive_roots(q)
+    return {a: _mask(q, (b for b in roots if ext_dim_roots(q, a, b) > 0)) for a in roots}
 
 
 def torsion_closure(q: Quiver, s: IndecSet) -> IndecSet:
@@ -94,10 +119,7 @@ def torsion_closure(q: Quiver, s: IndecSet) -> IndecSet:
     s = frozenset(s)
     _check_roots(q, s)
     masks = _hom_masks(q)
-    reached = 0
-    for r in s:
-        reached |= masks[r]
-    perp = ~reached
+    perp = ~_union(masks, s)
     return frozenset(x for x, mask in masks.items() if not mask & perp)
 
 
@@ -237,16 +259,19 @@ def ext_projectives(q: Quiver, t: IndecSet) -> IndecSet:
     require_finite_type(q)
     t = frozenset(t)
     _require_torsion_class(q, t)
-    return frozenset(
-        a for a in t if all(ext_dim_roots(q, a, b) == 0 for b in t)
-    )
+    ext, members = _ext_masks(q), _mask(q, t)
+    return frozenset(a for a in t if not ext[a] & members)
 
 
-def split_projectives(q: Quiver, t: IndecSet) -> IndecSet:
+def split_projectives(
+    q: Quiver, t: IndecSet, projectives: IndecSet | None = None
+) -> IndecSet:
     """The minimal generator: the Ext-projectives x of T with x outside
-    T(P - x), P the set of all of them."""
+    T(P - x), P the set of all of them (`ext_projectives(q, t)` unless
+    given)."""
     t = frozenset(t)
-    projectives = ext_projectives(q, t)
+    if projectives is None:
+        projectives = ext_projectives(q, t)
     result = frozenset(
         x for x in projectives if x not in torsion_closure(q, projectives - {x})
     )
@@ -260,12 +285,17 @@ def a_of(q: Quiver, t: IndecSet) -> IndecSet:
     non-split Ext-projective."""
     t = frozenset(t)
     _require_torsion_class(q, t)
-    nonsplit = ext_projectives(q, t) - split_projectives(q, t)
-    return frozenset(
-        x
-        for x in t
-        if all(hom_dim_roots(q, p, x) == 0 for p in nonsplit)
-    )
+    projectives = ext_projectives(q, t)
+    nonsplit = projectives - split_projectives(q, t, projectives)
+    reached, bits = _union(_hom_masks(q), nonsplit), _bits(q)
+    return frozenset(x for x in t if not bits[x] & reached)
+
+
+def _support_size(s) -> int:
+    supp: set[Vertex] = set()
+    for a in s:
+        supp |= support(a)
+    return len(supp)
 
 
 def is_support_tilting(q: Quiver, c: IndecSet) -> bool:
@@ -273,41 +303,43 @@ def is_support_tilting(q: Quiver, c: IndecSet) -> bool:
     require_finite_type(q)
     c = frozenset(c)
     _check_roots(q, c)
-    for a in c:
-        for b in c:
-            if ext_dim_roots(q, a, b) != 0:
-                return False
-    supp: set[Vertex] = set()
-    for a in c:
-        supp |= support(a)
-    return len(c) == len(supp)
+    if _union(_ext_masks(q), c) & _mask(q, c):
+        return False
+    return len(c) == _support_size(c)
+
+
+def compatible_sets(items: tuple, compatible: dict, size: int | None = None) -> list[tuple]:
+    """Every set of pairwise compatible items, as tuples in item order, by
+    AND-ing masks: compatible[x] has bit j set when x and items[j] are
+    compatible. With `size`, only the sets of that many items."""
+    found: list[tuple] = []
+
+    def extend(chosen: tuple, allowed: int, start: int) -> None:
+        if size is None or len(chosen) == size:
+            found.append(chosen)
+        if len(chosen) == size:
+            return
+        for i in range(start, len(items)):
+            if allowed >> i & 1:
+                x = items[i]
+                extend(chosen + (x,), allowed & compatible[x], i + 1)
+
+    extend((), (1 << len(items)) - 1, 0)
+    return found
 
 
 @lru_cache(maxsize=None)
 def enumerate_support_tilting(q: Quiver) -> tuple[IndecSet, ...]:
     """All basic support tilting objects, via Ext-compatible subset search."""
     require_finite_type(q)
-    roots = positive_roots(q)
-    compatible = {
-        (a, b): ext_dim_roots(q, a, b) == 0 and ext_dim_roots(q, b, a) == 0
-        for a in roots
-        for b in roots
+    roots, ext, bits = positive_roots(q), _ext_masks(q), _bits(q)
+    compatible = {  # no Ext^1 from a, and none into a
+        a: ~ext[a] & ~_mask(q, (b for b in roots if ext[b] & bits[a])) for a in roots
     }
-    found: list[IndecSet] = []
-
-    def extend(chosen: tuple[Root, ...], start: int) -> None:
-        cset = frozenset(chosen)
-        supp: set[Vertex] = set()
-        for a in chosen:
-            supp |= support(a)
-        if len(chosen) == len(supp):
-            found.append(cset)
-        for i in range(start, len(roots)):
-            r = roots[i]
-            if all(compatible[(r, c)] for c in chosen):
-                extend(chosen + (r,), i + 1)
-
-    extend((), 0)
+    found = [
+        frozenset(s) for s in compatible_sets(roots, compatible)
+        if len(s) == _support_size(s)
+    ]
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 

@@ -217,7 +217,7 @@ def suite_stability(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
             f"default coefficients: semistable {r.semistable} != wide {r.wide}"
             f" for C={_roots_str(c)}",
         )
-        split = tors.split_projectives(q, tors.gen(q, c))
+        split = tors.split_projectives(q, tors.torsion_closure(q, c))
         supp: set[int] = set()
         for root in c:
             supp |= support(root)

@@ -3,9 +3,17 @@
 Reflections, inversion sets, the two length functions, absolute order, the
 noncrossing partition poset, c-sortability and cover reflections. These rest
 on two integer primitives: the sign of (a, w(2 rho)) for inversions and
-descents, and rank(u - v) for absolute order. `GroupElement.inverse`,
-`fixed_space` and `weyl_group` remain as oracles for `verify` and the tests;
-no production map inverts an element or enumerates W.
+descents, and rank(u - v) for absolute order.
+
+Words come from one vector. The pairings z = B w(2 rho) (B the Cartan
+matrix) mark the left descents of w, the v with z_v < 0, and s_v w has the
+pairings z - z_v B e_v, so stripping a letter costs O(n), not a matrix
+product. An inversion set N fixes the vector, w(2 rho) = 2 rho - 2 sum(N),
+so the c-sorting word of the element with inversion set N needs no matrix
+at all. A product of reflections s_r = 1 - r (B r)^T is built by rank-one
+row updates. `GroupElement.inverse`, `fixed_space` and `weyl_group` remain
+as oracles for `verify` and the tests; no production map inverts an
+element or enumerates W.
 
 Convention (fixed globally): a word (v1,...,vk) denotes s_{v1} o ... o s_{vk},
 so its matrix is S_{v1} @ ... @ S_{vk} and the rightmost letter acts first
@@ -15,9 +23,10 @@ on column vectors: w(v) = mat . v.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from . import fields
 from .quiver import (
@@ -117,30 +126,52 @@ class NCPoset:
         )
 
 
-def reflection(q: Quiver, v: Root) -> GroupElement:
-    """s_v(w) = w - (v,w) v for a root v."""
+def _check_root(q: Quiver, v: Root) -> None:
     if len(v) != q.n or sum(
         cartan_matrix(q)[i][j] * v[i] * v[j] for i in range(q.n) for j in range(q.n)
     ) != 2:
         raise ValueError(f"{v} is not a root")
+
+
+def reflection(q: Quiver, v: Root) -> GroupElement:
+    """s_v(w) = w - (v,w) v for a root v."""
+    _check_root(q, v)
+    return reflection_product(q, (v,))
+
+
+def reflection_product(q: Quiver, roots) -> GroupElement:
+    """s_{r_1} ... s_{r_k} for roots r_i, built right to left by rank-one
+    row updates: s_r M = M - r ((B r)^T M)."""
     b = cartan_matrix(q)
-    cols = []
-    for j in range(q.n):
-        pairing = sum(b[k][j] * v[k] for k in range(q.n))
-        cols.append(tuple((1 if i == j else 0) - pairing * v[i] for i in range(q.n)))
-    return GroupElement(tuple(tuple(cols[j][i] for j in range(q.n)) for i in range(q.n)))
+    rows = [[int(i == j) for j in range(q.n)] for i in range(q.n)]
+    for r in reversed(roots):
+        u = [0] * q.n
+        for i, row in enumerate(rows):
+            br = sum(b[i][k] * x for k, x in enumerate(r) if x)
+            if br:
+                u = [x + br * y for x, y in zip(u, row)]
+        for i, x in enumerate(r):
+            if x:
+                rows[i] = [y - x * z for y, z in zip(rows[i], u)]
+    return GroupElement(tuple(map(tuple, rows)))
+
+
+def _check_letter(q: Quiver, v: Vertex) -> None:
+    if type(v) is not int or not 1 <= v <= q.n:
+        raise ValueError(f"no simple reflection s{v!r}: vertices are 1..{q.n}")
 
 
 @lru_cache(maxsize=None, typed=True)
 def simple_reflection(q: Quiver, v: Vertex) -> GroupElement:
-    if type(v) is not int or not 1 <= v <= q.n:
-        raise ValueError(f"no simple reflection s{v!r}: vertices are 1..{q.n}")
+    _check_letter(q, v)
     return reflection(q, simple_roots(q)[v - 1])
 
 
 def word_to_element(q: Quiver, word: tuple[Vertex, ...]) -> GroupElement:
-    mats = [simple_reflection(q, v) for v in word]
-    return reduce(lambda a, b: a * b, mats, GroupElement.identity(q.n))
+    for v in word:
+        _check_letter(q, v)
+    simples = simple_roots(q)
+    return reflection_product(q, [simples[v - 1] for v in word])
 
 
 @lru_cache(maxsize=None)
@@ -168,13 +199,73 @@ def weyl_group(q: Quiver) -> tuple[GroupElement, ...]:
     return tuple(sorted(seen, key=lambda w: w.mat))
 
 
-def _rho_pairings(q: Quiver, w: GroupElement) -> tuple[int, ...]:
-    """B . w(2 rho), B the Cartan matrix and 2 rho the sum of the positive
-    roots. Its dot product with a root a is (a, w(2 rho)) = (w^{-1} a, 2 rho),
-    which is negative exactly when w^{-1} a is a negative root."""
+@lru_cache(maxsize=None)
+def _two_rho(q: Quiver) -> DimVector:
+    """2 rho, the sum of the positive roots."""
+    return tuple(map(sum, zip(*positive_roots(q))))
+
+
+def _pairings(q: Quiver, y: DimVector) -> list[int]:
+    """B . y, whose v-th entry is (e_v, y)."""
     b = cartan_matrix(q)
-    image = w.apply(tuple(map(sum, zip(*positive_roots(q)))))
-    return tuple(sum(b[i][j] * image[j] for j in range(q.n)) for i in range(q.n))
+    return [sum(b[i][j] * y[j] for j in range(q.n)) for i in range(q.n)]
+
+
+def _rho_pairings(q: Quiver, w: GroupElement) -> list[int]:
+    """B . w(2 rho), B the Cartan matrix. Its dot product with a root a is
+    (a, w(2 rho)) = (w^{-1} a, 2 rho), which is negative exactly when
+    w^{-1} a is a negative root."""
+    return _pairings(q, w.apply(_two_rho(q)))
+
+
+def _strip_descents(
+    q: Quiver, z: list[int], c_word: tuple[Vertex, ...] | None = None
+) -> tuple[Vertex, ...]:
+    """Strip left descents off the element with pairings z = B w(2 rho), in
+    place, until z has no negative entry: each time the smallest descent,
+    or with `c_word` every descent met in passes over the word. s_v w has
+    the pairings z - z_v B e_v. Returns the letters stripped, which spell w
+    when z belonged to an element of W."""
+    b = cartan_matrix(q)
+    word = []
+
+    def strip(v: Vertex) -> None:
+        zv = z[v - 1]
+        for i in range(q.n):
+            z[i] -= zv * b[i][v - 1]
+        word.append(v)
+
+    if c_word is None:
+        while (v := next((v for v in q.vertices if z[v - 1] < 0), None)) is not None:
+            strip(v)
+    else:
+        while any(x < 0 for x in z):
+            for v in c_word:
+                if z[v - 1] < 0:
+                    strip(v)
+    return tuple(word)
+
+
+def sorting_word_of_inversion_set(
+    q: Quiver, roots: frozenset[Root], c_word: tuple[Vertex, ...]
+) -> tuple[Vertex, ...]:
+    """The c-sorting word of the w with N(w) = roots, from the one vector
+    w(2 rho) = 2 rho - 2 sum(N(w)). The set is an inversion set exactly
+    when stripping descents off that vector ends at 2 rho, so that the
+    vector is w(2 rho) for the w the letters spell, and every member pairs
+    negatively with it: then the set lies in N(w) and has the same sum, so
+    it is N(w)."""
+    if not frozenset(roots) <= frozenset(positive_roots(q)):
+        raise ValueError("no group element has the given roots as inversion set")
+    y = [x - 2 * sum(r[i] for r in roots) for i, x in enumerate(_two_rho(q))]
+    z = _pairings(q, y)
+    start = list(z)
+    word = _strip_descents(q, z, c_word)
+    if z != _pairings(q, _two_rho(q)) or any(
+        sum(x * p for x, p in zip(r, start)) >= 0 for r in roots
+    ):
+        raise ValueError("no group element has the given roots as inversion set")
+    return word
 
 
 def inversion_set(q: Quiver, w: GroupElement) -> frozenset[Root]:
@@ -269,15 +360,27 @@ def cover_reflections(q: Quiver, w: GroupElement) -> frozenset[GroupElement]:
     return frozenset(reflection(q, r) for r in images if any(x < 0 for x in r))
 
 
+def reflection_root(q: Quiver, w: GroupElement) -> Root | None:
+    """The positive root r with w = s_r, or None when w is not a reflection.
+
+    An element of W is a reflection exactly when rank(w - 1) = 1 (Carter's
+    lemma), and the columns of s_r - 1 are the multiples -(r, e_j) r."""
+    cols = [[w.mat[i][j] - (i == j) for i in range(q.n)] for j in range(q.n)]
+    moved = [c for c in cols if any(c)]
+    if not moved or any(
+        x * d[j] != y * d[i]
+        for d in moved[1:]
+        for i, x in enumerate(moved[0])
+        for j, y in enumerate(moved[0])
+    ):
+        return None
+    scale = math.gcd(*moved[0]) * (1 if max(moved[0]) > 0 else -1)
+    return tuple(x // scale for x in moved[0])
+
+
 def reduced_word(q: Quiver, w: GroupElement) -> tuple[Vertex, ...]:
     """Canonical reduced word: repeatedly strip the smallest left descent."""
-    word = []
-    cur = w
-    while not cur.is_identity():
-        v = next(v for v in q.vertices if _left_descent(q, cur, v))
-        word.append(v)
-        cur = simple_reflection(q, v) * cur
-    return tuple(word)
+    return _strip_descents(q, _rho_pairings(q, w))
 
 
 def c_sorting_word(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> tuple[Vertex, ...]:
@@ -285,14 +388,7 @@ def c_sorting_word(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> tu
     _validate_word(q, c_word)
     if len(set(c_word)) != q.n:
         raise ValueError("c-sorting needs a full Coxeter word")
-    out = []
-    cur = w
-    while not cur.is_identity():
-        for v in c_word:
-            if _left_descent(q, cur, v):
-                out.append(v)
-                cur = simple_reflection(q, v) * cur
-    return tuple(out)
+    return _strip_descents(q, _rho_pairings(q, w), tuple(c_word))
 
 
 def element_repr(q: Quiver, w: GroupElement) -> str:

@@ -48,6 +48,7 @@ from quivernc import (
 )
 from quivernc.latt import FinitePoset
 from quivernc.ncmap import braid_orbit, braid_act, complete_exceptional_sequences
+from quivernc.replab import ar_quiver, projective_roots, tau
 from quivernc.quiver import coxeter_element_word, support
 from quivernc.verify import min_deletions_to_identity
 from quivernc.weyl import fixed_space, reduced_word
@@ -56,8 +57,8 @@ from quivernc.weyl import fixed_space, reduced_word
 def catalan_number(q):
     """Independent count oracle: prod (e_i + h + 1) / (e_i + 1) from the
     exponent table of the underlying connected diagram: A_n is a path, and
-    D_n, E6 and E7 are stars whose three arms have lengths (1, 1, n - 3),
-    (1, 2, 2) and (1, 2, 3)."""
+    D_n, E6, E7 and E8 are stars whose three arms have lengths (1, 1, n - 3),
+    (1, 2, 2), (1, 2, 3) and (1, 2, 4)."""
     n = q.n
     adj = {v: set() for v in range(1, n + 1)}
     for s, t in q.arrows:
@@ -86,6 +87,8 @@ def catalan_number(q):
         exponents = [1, 4, 5, 7, 8, 11]  # type E6
     elif arms == [1, 2, 3]:
         exponents = [1, 5, 7, 9, 11, 13, 17]  # type E7
+    elif arms == [1, 2, 4]:
+        exponents = [1, 7, 11, 13, 17, 19, 23, 29]  # type E8
     else:
         raise ValueError("no exponent table for this diagram")
     h = max(exponents) + 1
@@ -134,6 +137,43 @@ def test_torsion_class_counts_match_degree_product(text, expected):
     q = parse_quiver(text)
     assert catalan_number(q) == expected
     assert len(enumerate_torsion_classes(q)) == expected
+
+
+E8 = "vertices 8\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 5 6\narrow 6 7\narrow 3 8"
+
+
+def test_e8_catalan_number():
+    """The formula alone: enumerating the 25 080 torsion classes of E8 takes
+    about 20 s, too long for the default suite."""
+    assert catalan_number(parse_quiver(E8)) == 25080
+
+
+def test_e8_knitted_ar_quiver():
+    """Vertices the 120 positive roots, each tau^-k P for one projective P
+    and one k; tau = cox on every non-projective; every mesh
+    tau X -> middle terms -> X keeps dimension."""
+    q = parse_quiver(E8)
+    edges = ar_quiver(q)
+    roots = positive_roots(q)
+    assert len(roots) == 120
+    assert sorted({x for edge in edges for x in edge}) == list(roots)
+    cox = coxeter_element(q)
+    projectives = projective_roots(q)
+    position = {}  # x = tau^-k P: (P, k)
+    for x in roots:
+        y, k = x, 0
+        while y not in projectives:
+            y, k = tau(q, y), k + 1
+        position[x] = (y, k)
+    assert len(set(position.values())) == 120
+    for x in roots:
+        if x in projectives:
+            continue
+        t = tau(q, x)
+        assert t == cox.apply(x) and t in roots
+        middle = [b for a, b in edges if a == t]
+        assert middle == [a for a, b in edges if b == x]
+        assert tuple(map(sum, zip(t, x))) == tuple(map(sum, zip(*middle)))
 
 
 @pytest.mark.parametrize("fix", ["a2", "a3", "a4", "d4"])

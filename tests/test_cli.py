@@ -278,9 +278,7 @@ class TestWeylFree:
 
 
 class TestHomSolveFree:
-    """Production torsion classes never solve for a Hom basis.  The AR
-    quiver (`ar`, and the AR positions in `table`) still does; it is built
-    before the patch."""
+    """No production verb solves for a Hom basis, the AR quiver included."""
 
     @pytest.fixture(autouse=True)
     def no_hom_solve(self, monkeypatch):
@@ -292,7 +290,6 @@ class TestHomSolveFree:
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
-        replab.ar_quiver(quivernc.parse_quiver(D4))
         for module in modules:
             if getattr(module, "hom_basis", None) is replab.hom_basis:
                 monkeypatch.setattr(module, "hom_basis", refuse)
@@ -306,6 +303,19 @@ class TestHomSolveFree:
     @pytest.mark.parametrize("what", ["torsion", "nc", "sortables"])
     def test_enumerate(self, capsys, what):
         code, out, _ = run(capsys, "enumerate", "--what", what, D4)
+        assert code == 0 and len(out.splitlines()) == 50
+
+    @pytest.mark.parametrize("fmt,lines", [("tsv", 15), ("json", 1), ("dot", 1 + 12 + 15 + 1)])
+    def test_ar(self, capsys, fmt, lines):
+        code, out, _ = run(capsys, "ar", D4, "--format", fmt)
+        assert code == 0 and len(out.splitlines()) == lines
+
+    def test_sortables_multiply_no_matrices(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate --what=sortables multiplied two matrices")
+
+        monkeypatch.setattr(weyl.GroupElement, "__mul__", refuse)
+        code, out, _ = run(capsys, "enumerate", "--what", "sortables", D4)
         assert code == 0 and len(out.splitlines()) == 50
 
     @pytest.mark.parametrize("src,dst,obj,size", [
@@ -367,6 +377,15 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+def test_python_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "quivernc", "roots", A3],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "[0,0,1]", "[0,1,0]", "[0,1,1]", "[1,0,0]", "[1,1,0]", "[1,1,1]"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
-"""Integer fast paths against their representation-theoretic and
-matrix-inverse oracles, on every orientation of A3, A4 and D4 (the Weyl
-checks also on a disconnected quiver)."""
+"""Integer fast paths against their representation-theoretic,
+matrix-product and pairwise-loop references, on every orientation of A3, A4
+and D4 (the Weyl checks also on a disconnected quiver, the AR quiver also
+on D5 and E6)."""
 
 import itertools
 from argparse import Namespace
@@ -31,19 +32,46 @@ from quivernc import (
     torsion_closure,
     weyl_group,
 )
-from quivernc.cli import _KINDS, _emit_object, _enumerate_rows, _torsion_of, cmd_map
+from quivernc.cli import (
+    _KINDS,
+    _emit_object,
+    _enumerate_rows,
+    _nc_str,
+    _root_str,
+    _torsion_of,
+    _word_str,
+    cmd_map,
+)
+from quivernc.cluster import all_cc_indecs, cc_ext_orthogonal
 from quivernc.fields import GF2, QQ
-from quivernc.ncmap import cox_of_wide, wide_of_nc
-from quivernc.quiver import coxeter_element_word, ext_dim_roots, hom_dim_roots, simple_roots
+from quivernc.ncmap import cox_of_wide, nc_of_torsion, sorting_word_of_torsion, wide_of_nc
+from quivernc.quiver import (
+    cartan_matrix,
+    coxeter_element_word,
+    ext_dim_roots,
+    hom_dim_roots,
+    simple_roots,
+    support,
+)
 from quivernc.replab import (
+    ar_quiver,
+    ar_quiver_by_hom_basis,
     decompose,
     ext_dim,
     hom_dim,
     sub_representation,
     subrepresentation_subspaces,
 )
-from quivernc.tors import wide_simples
-from quivernc.weyl import _left_descent, c_sorting_word
+from quivernc.tors import is_support_tilting, wide_simples
+from quivernc.weyl import (
+    GroupElement,
+    _left_descent,
+    c_sorting_word,
+    reduced_word,
+    reflection,
+    reflection_root,
+    word_to_element,
+)
 
 EDGES = {
     "a3": (3, ((1, 2), (2, 3))),
@@ -274,3 +302,160 @@ def test_enumerate_sortables_matches_weyl_filter(q):
     cword = coxeter_element_word(q)
     words = [c_sorting_word(q, w, cword) for w in weyl_group(q) if is_c_sortable(q, w, cword)]
     assert _enumerate_rows(q, "sortables") == sorted(words, key=lambda w: (len(w), w))
+
+
+AR_QUIVERS = QUIVERS + [
+    pytest.param(parse_quiver("vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5"), id="d5"),
+    pytest.param(parse_quiver(
+        "vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6"), id="e6"),
+]
+
+
+@pytest.mark.parametrize("q", AR_QUIVERS)
+def test_knitted_ar_quiver_matches_hom_basis_oracle(q):
+    assert ar_quiver(q) == ar_quiver_by_hom_basis(q)
+
+
+def reduced_word_by_products(q, w):
+    """The canonical reduced word by one matrix product per letter."""
+    word, cur = [], w
+    while not cur.is_identity():
+        v = next(v for v in q.vertices if _left_descent(q, cur, v))
+        word.append(v)
+        cur = simple_reflection(q, v) * cur
+    return tuple(word)
+
+
+def c_sorting_word_by_products(q, w, c_word):
+    out, cur = [], w
+    while not cur.is_identity():
+        for v in c_word:
+            if _left_descent(q, cur, v):
+                out.append(v)
+                cur = simple_reflection(q, v) * cur
+    return tuple(out)
+
+
+def reflection_by_formula(q, r):
+    """s_r as the matrix of x -> x - (r, x) r, column by column."""
+    b = cartan_matrix(q)
+    cols = [[int(i == j) - sum(b[k][j] * r[k] for k in range(q.n)) * r[i] for i in range(q.n)]
+            for j in range(q.n)]
+    return GroupElement(tuple(tuple(cols[j][i] for j in range(q.n)) for i in range(q.n)))
+
+
+@pytest.mark.parametrize("q", ONE_PER_GRAPH)
+def test_one_vector_words_match_matrix_products(q):
+    """Reduced and c-sorting words, reflection matrices, words multiplied
+    out and the reflection test rank(w - 1) = 1 on all of W."""
+    cword = coxeter_element_word(q)
+    reflections = {reflection_by_formula(q, r): r for r in positive_roots(q)}
+    assert {reflection(q, r): r for r in positive_roots(q)} == reflections
+    for w in weyl_group(q):
+        word = reduced_word(q, w)
+        assert word == reduced_word_by_products(q, w)
+        assert c_sorting_word(q, w, cword) == c_sorting_word_by_products(q, w, cword)
+        product = GroupElement.identity(q.n)
+        for v in word:
+            product = product * simple_reflection(q, v)
+        assert word_to_element(q, word) == product == w
+        assert reflection_root(q, w) == reflections.get(w)
+
+
+def nc_str_by_scan(q, w):
+    root = next((r for r in positive_roots(q) if reflection_by_formula(q, r) == w), None)
+    if root is not None:
+        return "s" + _root_str(root)
+    return _word_str(reduced_word_by_products(q, w))
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_rank_one_nc_str_matches_reflection_scan(q):
+    for t in enumerate_torsion_classes(q):
+        w = nc_of_torsion(q, t)
+        assert _nc_str(q, w) == nc_str_by_scan(q, w)
+
+
+def sortable_by_simple_root_peel(q, t):
+    """The element with inversion set t by peeling its smallest simple root:
+    N(s_v w) = s_v(N(w) - {e_v}); None when the peel gets stuck."""
+    roots, simples = set(positive_roots(q)), simple_roots(q)
+    rest, word = set(t), []
+    while rest:
+        v = next((v for v in q.vertices if simples[v - 1] in rest), None)
+        if v is None or not rest <= roots:
+            return None
+        word.append(v)
+        rest = {simple_reflection(q, v).apply(x) for x in rest - {simples[v - 1]}}
+    return word_to_element(q, tuple(word))
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_sorting_word_matches_simple_root_peel(q):
+    """Every torsion class, and on A3 every set of positive roots: the
+    one-vector peel accepts exactly the sets the root-set peel empties, and
+    its word is the c-sorting word of that element."""
+    cword, roots = coxeter_element_word(q), positive_roots(q)
+    sets = list(enumerate_torsion_classes(q))
+    if q.n == 3:
+        sets = [frozenset(s) for k in range(len(roots) + 1) for s in itertools.combinations(roots, k)]
+    for s in sets:
+        w = sortable_by_simple_root_peel(q, s)
+        if w is None:
+            with pytest.raises(ValueError, match="no group element"):
+                sorting_word_of_torsion(q, s)
+        else:
+            assert sorting_word_of_torsion(q, s) == c_sorting_word_by_products(q, w, cword)
+
+
+def ext_projectives_pairwise(q, t):
+    return frozenset(a for a in t if all(ext_dim_roots(q, a, b) == 0 for b in t))
+
+
+def a_of_pairwise(q, t):
+    nonsplit = ext_projectives_pairwise(q, t) - split_projectives_by_removal(q, t)
+    return frozenset(x for x in t if all(hom_dim_roots(q, p, x) == 0 for p in nonsplit))
+
+
+def is_support_tilting_pairwise(q, c):
+    if any(ext_dim_roots(q, a, b) for a in c for b in c):
+        return False
+    return len(c) == len(set().union(*(support(a) for a in c)))
+
+
+def compatible_search(items, compatible, size=None):
+    """Every pairwise compatible set (of `size` members), checking each new
+    member against every chosen one."""
+    found = []
+
+    def extend(chosen, start):
+        if size is None or len(chosen) == size:
+            found.append(frozenset(chosen))
+            if size is not None:
+                return
+        for i in range(start, len(items)):
+            if all(compatible(items[i], c) for c in chosen):
+                extend(chosen + (items[i],), i + 1)
+
+    extend((), 0)
+    return found
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_ext_masks_match_pairwise_loops(q):
+    roots = positive_roots(q)
+    for t in enumerate_torsion_classes(q):
+        assert ext_projectives(q, t) == ext_projectives_pairwise(q, t), sorted(t)
+        assert a_of(q, t) == a_of_pairwise(q, t), sorted(t)
+    for k in range(q.n + 2):
+        for c in itertools.combinations(roots, k):
+            assert is_support_tilting(q, frozenset(c)) == is_support_tilting_pairwise(q, c), c
+    rigid = compatible_search(
+        roots, lambda a, b: ext_dim_roots(q, a, b) == 0 == ext_dim_roots(q, b, a))
+    support_tilting = {c for c in rigid if len(c) == len(set().union(*map(support, c)))}
+    assert len(enumerate_support_tilting(q)) == len(support_tilting)
+    assert set(enumerate_support_tilting(q)) == support_tilting
+    items = all_cc_indecs(q)
+    clusters = compatible_search(items, lambda x, y: cc_ext_orthogonal(q, x, y), q.n)
+    assert len(cluster_tilting_objects(q)) == len(clusters)
+    assert set(cluster_tilting_objects(q)) == set(clusters)
