@@ -22,47 +22,27 @@ from .quiver import (
 )
 from .weyl import (
     GroupElement,
-    NCPoset,
-    absolute_length,
-    absolute_leq,
+    ar_quiver,
     cover_reflections,
     coxeter_element,
     fixed_space,
     inversion_set,
     is_c_sortable,
     length_S,
-    noncrossing_partitions,
     reflection,
     simple_reflection,
-    weyl_group,
-    word_to_element,
-)
-from .replab import (
-    Representation,
-    ar_quiver,
-    decompose,
-    ext_dim,
-    hom_basis,
-    indecomposable,
-    injective_rep,
-    projective_rep,
-    reflect,
-    simple_rep,
-    subrep_dimvectors,
     tau,
+    word_to_element,
 )
 from .tors import (
     a_of,
     enumerate_support_tilting,
     enumerate_torsion_classes,
     ext_projectives,
-    gen,
     is_support_tilting,
-    is_torsion_class,
     split_projectives,
     torsion_closure,
     torsion_free_complement,
-    torsion_subobject,
     wide_simples,
 )
 from .cluster import (
@@ -72,10 +52,24 @@ from .cluster import (
     cc_shift,
     cluster_tilting_objects,
     complete_support_tilting,
-    gen_leq,
     gen_of,
     mutate,
     support_tilting_of,
+)
+from .replab import (
+    Representation,
+    decompose,
+    ext_dim,
+    gen,
+    hom_basis,
+    indecomposable,
+    injective_rep,
+    is_torsion_class,
+    projective_rep,
+    reflect,
+    simple_rep,
+    subrep_dimvectors,
+    torsion_subobject,
 )
 from .stab import (
     is_semistable,
@@ -101,12 +95,15 @@ from .ncmap import (
 from .latt import (
     FinitePoset,
     LatticeReport,
+    absolute_length,
+    absolute_leq,
     cambrian_poset,
     lattice_analyze,
+    noncrossing_partitions,
     principal_torsion_classes,
     splitting_chain,
     torsion_join,
-    torsion_meet,
+    weyl_group,
 )
 
 __version__ = "0.1.0"

@@ -26,10 +26,19 @@ import os
 import sys
 
 from . import cluster as clus
-from . import ncmap, replab, tors, verify
+from . import ncmap, tors, verify
 from .errors import NotFiniteTypeError, OracleCapError, QuiverSyntaxError
 from .quiver import Quiver, coxeter_element_word, parse_quiver, positive_roots
-from .weyl import c_sorting_word, inversion_set, reduced_word, reflection_root, word_to_element
+from .weyl import (
+    ar_dot,
+    ar_linear_order,
+    ar_quiver,
+    c_sorting_word,
+    inversion_set,
+    reduced_word,
+    reflection_root,
+    word_to_element,
+)
 
 USAGE_ERROR, CAP_ERROR, INTERNAL_ERROR = 2, 3, 4
 
@@ -82,11 +91,11 @@ def cmd_roots(q: Quiver, args) -> int:
 
 def cmd_ar(q: Quiver, args) -> int:
     if args.format == "dot":
-        print(replab.ar_dot(q))
+        print(ar_dot(q))
     elif args.format == "json":
-        print(_json([[list(a), list(b)] for a, b in replab.ar_quiver(q)]))
+        print(_json([[list(a), list(b)] for a, b in ar_quiver(q)]))
     else:
-        for a, b in replab.ar_quiver(q):
+        for a, b in ar_quiver(q):
             print(f"{_root_str(a)}\t{_root_str(b)}")
     return 0
 
@@ -152,7 +161,10 @@ def _summand(x) -> clus.CCIndec:
 
 
 def _parse_object(q: Quiver, kind: str, text: str):
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:  # a RuntimeError, but the fault is in the input
+        raise ValueError("the JSON object is nested too deeply") from None
     if kind in ("support", "torsion", "wide"):
         if not (isinstance(obj, list) and all(_int_list(r) for r in obj)):
             raise ValueError(f"a {kind} object is a list of dimension vectors")
@@ -232,7 +244,7 @@ def cmd_table(q: Quiver, args) -> int:
     Roots in the text table carry their AR-quiver position as [coords]#k.
     """
     cword = coxeter_element_word(q)
-    ar_pos = {r: i + 1 for i, r in enumerate(replab.ar_linear_order(q))}
+    ar_pos = {r: i + 1 for i, r in enumerate(ar_linear_order(q))}
 
     def root_at(r) -> str:
         return f"{_root_str(r)}#{ar_pos[r]}"
@@ -254,7 +266,7 @@ def cmd_table(q: Quiver, args) -> int:
         print(
             _json(
                 {
-                    "ar_order": [list(r) for r in replab.ar_linear_order(q)],
+                    "ar_order": [list(r) for r in ar_linear_order(q)],
                     "rows": [
                         {
                             "cluster_tilting": [x.to_obj() for x in sorted(ct, key=clus.CCIndec.sort_key)],

@@ -7,12 +7,11 @@ statements inside rep Q.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .quiver import Quiver, Root, Vertex, positive_roots, require_finite_type, support
-from .replab import ext_dim_roots
+from .quiver import ext_dim_roots
 from .tors import IndecSet, compatible_sets, is_support_tilting, torsion_closure
 
 
@@ -135,13 +134,3 @@ def mutate(q: Quiver, t: ClusterTilting, x: CCIndec) -> ClusterTilting:
 def gen_of(q: Quiver, t: ClusterTilting) -> IndecSet:
     """Gen of the rep-part summands (shifts contribute nothing)."""
     return torsion_closure(q, support_tilting_of(t))
-
-
-def gen_leq(q: Quiver, t: ClusterTilting, v: ClusterTilting) -> bool:
-    return gen_of(q, t) <= gen_of(q, v)
-
-
-def cluster_tilting_to_json(t: ClusterTilting) -> str:
-    return json.dumps(
-        {"summands": [x.to_obj() for x in sorted(t, key=CCIndec.sort_key)]}
-    )

@@ -1,6 +1,7 @@
-"""Finite poset and lattice analytics plus the Cambrian-specific pieces:
-meet/join of torsion classes, principal (join-irreducible) classes and the
-left-modular splitting chain.
+"""Finite poset and lattice analytics, and the oracles on the lattice side:
+the walk over the Weyl group, absolute order by rank, the noncrossing
+partition poset [e, cox(Q)], meet/join of torsion classes, principal
+(join-irreducible) classes and the left-modular splitting chain.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
+from . import fields
 from .fields import GF2
-from .quiver import Quiver, positive_roots
-from .replab import ar_linear_order
-from .tors import IndecSet, extension_root_closure, gen
-from .tors import enumerate_torsion_classes
+from .quiver import Quiver, positive_roots, require_finite_type
+from .replab import extension_root_closure, gen
+from .tors import IndecSet, enumerate_torsion_classes
+from .weyl import GroupElement, ar_linear_order, coxeter_element, simple_reflection
 
 
 @dataclass(frozen=True)
@@ -194,11 +196,6 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
     )
 
 
-def torsion_meet(q: Quiver, t1: IndecSet, t2: IndecSet) -> IndecSet:
-    """Meet of torsion classes is plain intersection."""
-    return frozenset(t1) & frozenset(t2)
-
-
 def torsion_join(q: Quiver, t1: IndecSet, t2: IndecSet) -> IndecSet:
     """Smallest torsion class containing both: iterate quotient closure and
     adjunction of extension middle terms to a fixpoint."""
@@ -235,3 +232,54 @@ def cambrian_poset(q: Quiver) -> FinitePoset:
     """Torsion classes ordered by inclusion."""
     classes = enumerate_torsion_classes(q)
     return FinitePoset.from_elements(classes, lambda a, b: a <= b)
+
+
+@lru_cache(maxsize=None)
+def weyl_group(q: Quiver) -> tuple[GroupElement, ...]:
+    """Full finite Weyl group by breadth-first closure under the simple
+    reflections (right multiplication)."""
+    require_finite_type(q)
+    gens = [simple_reflection(q, v) for v in q.vertices]
+    seen = {GroupElement.identity(q.n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                u = w * s
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda w: w.mat))
+
+
+def _rank_of_difference(u: GroupElement, v: GroupElement) -> int:
+    """rank(u - v) = l_T(v^{-1} u): v^{-1} u fixes x exactly when u.x = v.x."""
+    rows = [[x - y for x, y in zip(ru, rv)] for ru, rv in zip(u.mat, v.mat)]
+    return fields.rank(fields.QQ, rows)
+
+
+def absolute_length(q: Quiver, w: GroupElement) -> int:
+    """l_T(w) = n - dim fix(w) = rank(w - 1) (Carter's lemma) in finite type."""
+    require_finite_type(q)
+    return _rank_of_difference(w, GroupElement.identity(q.n))
+
+
+def absolute_leq(q: Quiver, u: GroupElement, v: GroupElement) -> bool:
+    """u <= v in absolute order: l_T(u) + l_T(u^{-1} v) = l_T(v)."""
+    return absolute_length(q, u) + _rank_of_difference(v, u) == absolute_length(q, v)
+
+
+@lru_cache(maxsize=None)
+def noncrossing_partitions(q: Quiver) -> FinitePoset:
+    """The interval [e, cox(Q)] in absolute order, as a poset whose payloads
+    are the group elements, ordered by absolute length, then by matrix."""
+    require_finite_type(q)
+    cox = coxeter_element(q)
+    elems = [w for w in weyl_group(q) if absolute_leq(q, w, cox)]
+    elems.sort(key=lambda w: (absolute_length(q, w), w.mat))
+    leq = tuple(
+        tuple(absolute_leq(q, u, v) for v in elems) for u in elems
+    )
+    return FinitePoset(tuple(elems), leq)

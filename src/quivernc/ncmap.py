@@ -23,7 +23,7 @@ from .quiver import (
     simple_roots,
 )
 from .quiver import ext_dim_roots, hom_dim_roots
-from .tors import IndecSet, a_of, torsion_classes_set, wide_simples
+from .tors import IndecSet, a_of, torsion_closure, wide_simples
 from .weyl import (
     GroupElement,
     cover_reflections,
@@ -85,7 +85,7 @@ def sortable_of_torsion(q: Quiver, t: IndecSet) -> GroupElement:
 def torsion_of_sortable(q: Quiver, w: GroupElement) -> IndecSet:
     """The torsion class whose indecomposables are the inversions of w."""
     s = frozenset(inversion_set(q, w))
-    if s not in torsion_classes_set(q):
+    if torsion_closure(q, s) != s:
         raise ValueError("inversion set is not a torsion class; w is not sortable")
     return s
 

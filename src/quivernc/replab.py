@@ -1,12 +1,15 @@
-"""Explicit quiver representations over exact fields.
+"""Explicit quiver representations over exact fields, and the oracles
+built on them.
 
 Hom/Ext computation, BGP reflection functors, construction of the
 indecomposable for each positive root, subrepresentation enumeration (the
-brute-force oracle substrate), Krull-Schmidt decomposition by Hom
-fingerprints, the AR translate and the AR quiver.  The AR quiver is knitted
-from the projective roots with the Coxeter transformation; its construction
-from explicit Hom bases, `ar_quiver_by_hom_basis`, is an oracle for the
-tests.
+brute-force oracle substrate) and Krull-Schmidt decomposition by Hom
+fingerprints.  On top of these sit the references that `verify` and the
+tests check the integer fast path against: Gen(S) as a trace over explicit
+Hom bases (for `tors.torsion_closure`), the GF(2) quotient and extension
+closures behind `is_torsion_class` and `is_wide`, the torsion subobject,
+and the AR quiver from Hom bases (for `weyl.ar_quiver`).  No production
+module imports this one.
 """
 
 from __future__ import annotations
@@ -18,22 +21,19 @@ from functools import lru_cache
 
 from . import fields
 from .errors import FingerprintError, OracleCapError
-from .fields import QQ
+from .fields import GF2, QQ
 from .quiver import (
     DimVector,
     Quiver,
     Root,
     Vertex,
-    cartan_matrix,
-    coxeter_element_word,
     euler_form,
-    ext_dim_roots,  # re-exported: the closed forms live next to euler_form
-    hom_dim_roots,
     is_positive_root,
     positive_roots,
     require_finite_type,
 )
-from .weyl import coxeter_element, reflection
+from .tors import IndecSet, _check_roots, _require_torsion_class
+from .weyl import ar_linear_order, reflection
 
 DEFAULT_CAP = 12
 
@@ -540,23 +540,6 @@ def quotient_representation(
     return Representation(q, field, dims, tuple(maps))
 
 
-@lru_cache(maxsize=None)
-def ar_linear_order(q: Quiver) -> tuple[Root, ...]:
-    """Lexicographically least topological sort of the AR quiver."""
-    edges = ar_quiver(q)
-    roots = list(positive_roots(q))
-    preds: dict[Root, set[Root]] = {r: set() for r in roots}
-    for a, b in edges:
-        preds[b].add(a)
-    order = []
-    remaining = set(roots)
-    while remaining:
-        ready = sorted(r for r in remaining if not (preds[r] & remaining))
-        order.append(ready[0])
-        remaining.remove(ready[0])
-    return tuple(order)
-
-
 def decompose(q: Quiver, m: Representation) -> tuple[Root, ...]:
     """Multiset of roots with M isomorphic to the direct sum of their
     indecomposables, resolved by the Hom-dimension fingerprint."""
@@ -587,66 +570,6 @@ def decompose(q: Quiver, m: Representation) -> tuple[Root, ...]:
     for i, k in enumerate(mult):
         out.extend([order[i]] * k)
     return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def projective_roots(q: Quiver) -> frozenset[Root]:
-    return frozenset(projective_rep(q, v).dims for v in q.vertices)
-
-
-def tau(q: Quiver, root: Root) -> Root | None:
-    """AR translate on dimension vectors: cox(Q) . root, none on projectives."""
-    require_finite_type(q)
-    if not is_positive_root(q, root):
-        raise ValueError(f"{root} is not a positive root")
-    if root in projective_roots(q):
-        return None
-    image = coxeter_element(q).apply(root)
-    if not is_positive_root(q, image):
-        raise FingerprintError(f"tau({root}) = {image} is not a positive root")
-    return image
-
-
-@lru_cache(maxsize=None)
-def ar_quiver(q: Quiver) -> tuple[tuple[Root, Root], ...]:
-    """Edges of the AR quiver, knitted from the projective roots.
-
-    Every indecomposable of a Dynkin quiver is preprojective, tau^-k P_v for
-    one k >= 0 and one vertex v, with dimension vector cox(Q)^-k dim P_v.
-    An arrow s -> t of Q is an irreducible map P_t -> P_s, and it gives the
-    AR arrows tau^-k P_t -> tau^-k P_s and tau^-k P_s -> tau^-(k+1) P_t.
-    Checked: the vertices are the positive roots, each once, and every mesh
-    satisfies dim tau^-1 X = sum of the successors of X - dim X.
-    """
-    require_finite_type(q)
-    b = cartan_matrix(q)
-    orbit: dict[tuple[Vertex, int], Root] = {}  # (v, k) -> dim tau^-k P_v
-    for v in q.vertices:
-        x, k = projective_rep(q, v).dims, 0
-        while all(c >= 0 for c in x):  # a root is positive or negative
-            orbit[v, k] = x
-            x, k = list(x), k + 1
-            for u in coxeter_element_word(q):  # cox^-1 = s_{u_n} ... s_{u_1}
-                x[u - 1] -= sum(b[u - 1][j] * x[j] for j in range(q.n))
-            x = tuple(x)
-    if sorted(orbit.values()) != list(positive_roots(q)):
-        raise FingerprintError("the tau^-1 orbits of the projectives are not the positive roots")
-    edges = []
-    for s, t in q.arrows:
-        for (v, k), x in orbit.items():
-            if v == t and (s, k) in orbit:
-                edges.append((x, orbit[s, k]))
-            if v == s and (t, k + 1) in orbit:
-                edges.append((x, orbit[t, k + 1]))
-    successors: dict[Root, list[Root]] = {x: [] for x in orbit.values()}
-    for x, y in edges:
-        successors[x].append(y)
-    for (v, k), x in orbit.items():
-        if (v, k + 1) in orbit and orbit[v, k + 1] != tuple(
-            sum(col) - c for col, c in zip(zip(*successors[x]), x)
-        ):
-            raise FingerprintError(f"the mesh starting at {x} breaks the dimension rule")
-    return tuple(sorted(edges))
 
 
 def ar_quiver_by_hom_basis(q: Quiver) -> tuple[tuple[Root, Root], ...]:
@@ -690,12 +613,185 @@ def ar_quiver_by_hom_basis(q: Quiver) -> tuple[tuple[Root, Root], ...]:
     return tuple(sorted(edges))
 
 
-def ar_dot(q: Quiver) -> str:
-    """Graphviz rendering of the AR quiver."""
-    lines = ["digraph AR {"]
-    for r in positive_roots(q):
-        lines.append(f'  "{list(r)}";')
-    for a, b in ar_quiver(q):
-        lines.append(f'  "{list(a)}" -> "{list(b)}";')
-    lines.append("}")
-    return "\n".join(lines)
+def gen(q: Quiver, s: IndecSet, field=QQ) -> IndecSet:
+    """Indecomposables of Gen(S): quotients of finite sums of members.
+
+    X lies in Gen(S) iff the trace of S in X (the sum of all images of
+    morphisms out of add S) is all of X.  This is the oracle for
+    `torsion_closure`.
+    """
+    require_finite_type(q)
+    s = frozenset(s)
+    _check_roots(q, s)
+    if not s:
+        return frozenset()
+    out = set()
+    for x in positive_roots(q):
+        if x in s:
+            out.add(x)
+            continue
+        target = indecomposable(q, x, field)
+        spans = [[] for _ in range(q.n)]
+        for r in s:
+            for phi in hom_basis(indecomposable(q, r, field), target).elements:
+                for v in range(q.n):
+                    cols = len(phi[v][0]) if phi[v] else 0
+                    for c in range(cols):
+                        spans[v].append([phi[v][i][c] for i in range(target.dims[v])])
+        if all(
+            fields.rank(field, spans[v]) == target.dims[v] for v in range(q.n)
+        ):
+            out.add(x)
+    return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def quotient_root_closure(q: Quiver, alpha: Root, cap: int = DEFAULT_CAP) -> frozenset[Root]:
+    """Every root appearing as a summand of some quotient of M_alpha (GF(2))."""
+    m = indecomposable(q, alpha, GF2)
+    out: set[Root] = set()
+    for sub in subrepresentation_subspaces(m, cap):
+        out.update(decompose(q, quotient_representation(m, sub)))
+    return frozenset(out)
+
+
+def _multisets_with_dim(q: Quiver, target: tuple[int, ...]) -> list[tuple[Root, ...]]:
+    roots = positive_roots(q)
+
+    def rec(i: int, remaining: tuple[int, ...]) -> list[tuple[Root, ...]]:
+        if all(x == 0 for x in remaining):
+            return [()]
+        if i == len(roots):
+            return []
+        out = []
+        r = roots[i]
+        max_copies = min(
+            (remaining[v] // r[v] for v in range(q.n) if r[v]), default=0
+        )
+        for k in range(max_copies + 1):
+            rest = tuple(remaining[v] - k * r[v] for v in range(q.n))
+            for tail in rec(i + 1, rest):
+                out.append((r,) * k + tail)
+        return out
+
+    return rec(0, target)
+
+
+@lru_cache(maxsize=None)
+def extension_root_closure(
+    q: Quiver, alpha: Root, beta: Root, cap: int = DEFAULT_CAP
+) -> frozenset[Root]:
+    """Summands of every middle term E of 0 -> M_beta -> E -> M_alpha -> 0.
+
+    Candidates are all multisets of roots with the right total dimension;
+    a candidate qualifies when some GF(2) subrepresentation is isomorphic to
+    M_beta with quotient isomorphic to M_alpha.
+    """
+    total = tuple(a + b for a, b in zip(alpha, beta))
+    if sum(total) > cap:
+        raise OracleCapError(
+            f"extension search at dimension {sum(total)} exceeds the cap {cap}"
+        )
+    out: set[Root] = set()
+    for candidate in _multisets_with_dim(q, total):
+        e = direct_sum([indecomposable(q, r, GF2) for r in candidate])
+        found = False
+        for sub in subrepresentation_subspaces(e, cap):
+            if tuple(len(rows) for rows in sub) != beta:
+                continue
+            if decompose(q, sub_representation(e, sub)) != (beta,):
+                continue
+            if decompose(q, quotient_representation(e, sub)) == (alpha,):
+                found = True
+                break
+        if found:
+            out.update(candidate)
+    return frozenset(out)
+
+
+def is_torsion_class(q: Quiver, s: IndecSet, cap: int = DEFAULT_CAP) -> bool:
+    """Brute-force oracle: closed under quotients and extensions over GF(2)."""
+    require_finite_type(q)
+    s = frozenset(s)
+    _check_roots(q, s)
+    for alpha in s:
+        if not quotient_root_closure(q, alpha, cap) <= s:
+            return False
+    for alpha in s:
+        for beta in s:
+            if not extension_root_closure(q, alpha, beta, cap) <= s:
+                return False
+    return True
+
+
+def is_wide(q: Quiver, s: IndecSet, cap: int = DEFAULT_CAP) -> bool:
+    """Oracle: closed under kernels, cokernels and extensions, checked on
+    every GF(2) morphism between members."""
+    require_finite_type(q)
+    s = frozenset(s)
+    _check_roots(q, s)
+    for alpha in s:
+        for beta in s:
+            if not extension_root_closure(q, alpha, beta, cap) <= s:
+                return False
+            ma = indecomposable(q, alpha, GF2)
+            mb = indecomposable(q, beta, GF2)
+            basis = hom_basis(ma, mb).elements
+            for coeffs in itertools.product(range(2), repeat=len(basis)):
+                if not any(coeffs):
+                    continue
+                phi = [
+                    [
+                        [
+                            sum(c * basis[k][v][i][j] for k, c in enumerate(coeffs)) % 2
+                            for j in range(ma.dims[v])
+                        ]
+                        for i in range(mb.dims[v])
+                    ]
+                    for v in range(q.n)
+                ]
+                kernel = tuple(
+                    fields.row_space(GF2, fields.nullspace(GF2, phi[v], ma.dims[v]))
+                    for v in range(q.n)
+                )
+                if not set(decompose(q, sub_representation(ma, kernel))) <= s:
+                    return False
+                image = tuple(
+                    fields.row_space(
+                        GF2,
+                        [
+                            [phi[v][i][j] for i in range(mb.dims[v])]
+                            for j in range(ma.dims[v])
+                        ],
+                    )
+                    for v in range(q.n)
+                )
+                if not set(decompose(q, quotient_representation(mb, image))) <= s:
+                    return False
+    return True
+
+
+def torsion_subobject(
+    q: Quiver, t: IndecSet, m: Representation, cap: int = DEFAULT_CAP
+) -> Representation:
+    """t(X): the maximal subobject of X lying in add T (field of X)."""
+    t = frozenset(t)
+    _require_torsion_class(q, t)
+    candidates = []
+    for sub in subrepresentation_subspaces(m, cap):
+        if set(decompose(q, sub_representation(m, sub))) <= t:
+            candidates.append(sub)
+    field = m.field
+
+    def contains(big, small) -> bool:
+        for v in range(q.n):
+            pivots = fields.pivots_of(field, big[v])
+            for row in small[v]:
+                if not fields.in_span(field, big[v], pivots, row):
+                    return False
+        return True
+
+    best = max(candidates, key=lambda sub: sum(len(rows) for rows in sub))
+    if not all(contains(best, other) for other in candidates):
+        raise RuntimeError("torsion subobjects have no unique maximum")
+    return sub_representation(m, best)

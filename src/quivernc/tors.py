@@ -1,34 +1,19 @@
-"""Torsion classes, Gen-closure, Ext/split projectives, support tilting and
-the wide-subcategory extraction a(T).
+"""Torsion classes, Ext/split projectives, support tilting and the
+wide-subcategory extraction a(T), on integer roots and bitsets.
 
 Subcategories closed under sums and summands are identified with their sets
-of indecomposables, i.e. with frozensets of positive roots.  Production
-torsion classes come from `torsion_closure` on Hom bitsets; `gen` (a trace
-over explicit Hom bases) and the brute-force GF(2) oracles are references
-that `verify` and the tests compare against.
+of indecomposables, i.e. with frozensets of positive roots.  Torsion classes
+come from `torsion_closure` on per-quiver Hom bitsets; a set is a torsion
+class exactly when it is its own closure.  The Gen trace and the GF(2)
+closure oracles these are checked against live in `replab`.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
-from . import fields
-from .errors import OracleCapError
-from .fields import GF2, QQ
 from .quiver import Quiver, Root, Vertex, positive_roots, require_finite_type, support
 from .quiver import ext_dim_roots, hom_dim_roots
-from .replab import (
-    DEFAULT_CAP,
-    Representation,
-    decompose,
-    direct_sum,
-    hom_basis,
-    indecomposable,
-    quotient_representation,
-    sub_representation,
-    subrepresentation_subspaces,
-)
 
 IndecSet = frozenset  # of Root
 
@@ -37,38 +22,6 @@ def _check_roots(q: Quiver, s: IndecSet) -> None:
     bad = [r for r in s if r not in _bits(q)]
     if bad:
         raise ValueError(f"not positive roots of the quiver: {sorted(bad)}")
-
-
-def gen(q: Quiver, s: IndecSet, field=QQ) -> IndecSet:
-    """Indecomposables of Gen(S): quotients of finite sums of members.
-
-    X lies in Gen(S) iff the trace of S in X (the sum of all images of
-    morphisms out of add S) is all of X.  This is the oracle for
-    `torsion_closure`.
-    """
-    require_finite_type(q)
-    s = frozenset(s)
-    _check_roots(q, s)
-    if not s:
-        return frozenset()
-    out = set()
-    for x in positive_roots(q):
-        if x in s:
-            out.add(x)
-            continue
-        target = indecomposable(q, x, field)
-        spans = [[] for _ in range(q.n)]
-        for r in s:
-            for phi in hom_basis(indecomposable(q, r, field), target).elements:
-                for v in range(q.n):
-                    cols = len(phi[v][0]) if phi[v] else 0
-                    for c in range(cols):
-                        spans[v].append([phi[v][i][c] for i in range(target.dims[v])])
-        if all(
-            fields.rank(field, spans[v]) == target.dims[v] for v in range(q.n)
-        ):
-            out.add(x)
-    return frozenset(out)
 
 
 @lru_cache(maxsize=None)
@@ -123,134 +76,9 @@ def torsion_closure(q: Quiver, s: IndecSet) -> IndecSet:
     return frozenset(x for x, mask in masks.items() if not mask & perp)
 
 
-@lru_cache(maxsize=None)
-def quotient_root_closure(q: Quiver, alpha: Root, cap: int = DEFAULT_CAP) -> frozenset[Root]:
-    """Every root appearing as a summand of some quotient of M_alpha (GF(2))."""
-    m = indecomposable(q, alpha, GF2)
-    out: set[Root] = set()
-    for sub in subrepresentation_subspaces(m, cap):
-        out.update(decompose(q, quotient_representation(m, sub)))
-    return frozenset(out)
-
-
-def _multisets_with_dim(q: Quiver, target: tuple[int, ...]) -> list[tuple[Root, ...]]:
-    roots = positive_roots(q)
-
-    def rec(i: int, remaining: tuple[int, ...]) -> list[tuple[Root, ...]]:
-        if all(x == 0 for x in remaining):
-            return [()]
-        if i == len(roots):
-            return []
-        out = []
-        r = roots[i]
-        max_copies = min(
-            (remaining[v] // r[v] for v in range(q.n) if r[v]), default=0
-        )
-        for k in range(max_copies + 1):
-            rest = tuple(remaining[v] - k * r[v] for v in range(q.n))
-            for tail in rec(i + 1, rest):
-                out.append((r,) * k + tail)
-        return out
-
-    return rec(0, target)
-
-
-@lru_cache(maxsize=None)
-def extension_root_closure(
-    q: Quiver, alpha: Root, beta: Root, cap: int = DEFAULT_CAP
-) -> frozenset[Root]:
-    """Summands of every middle term E of 0 -> M_beta -> E -> M_alpha -> 0.
-
-    Candidates are all multisets of roots with the right total dimension;
-    a candidate qualifies when some GF(2) subrepresentation is isomorphic to
-    M_beta with quotient isomorphic to M_alpha.
-    """
-    total = tuple(a + b for a, b in zip(alpha, beta))
-    if sum(total) > cap:
-        raise OracleCapError(
-            f"extension search at dimension {sum(total)} exceeds the cap {cap}"
-        )
-    out: set[Root] = set()
-    for candidate in _multisets_with_dim(q, total):
-        e = direct_sum([indecomposable(q, r, GF2) for r in candidate])
-        found = False
-        for sub in subrepresentation_subspaces(e, cap):
-            if tuple(len(rows) for rows in sub) != beta:
-                continue
-            if decompose(q, sub_representation(e, sub)) != (beta,):
-                continue
-            if decompose(q, quotient_representation(e, sub)) == (alpha,):
-                found = True
-                break
-        if found:
-            out.update(candidate)
-    return frozenset(out)
-
-
-def is_torsion_class(q: Quiver, s: IndecSet, cap: int = DEFAULT_CAP) -> bool:
-    """Brute-force oracle: closed under quotients and extensions over GF(2)."""
-    require_finite_type(q)
-    s = frozenset(s)
-    _check_roots(q, s)
-    for alpha in s:
-        if not quotient_root_closure(q, alpha, cap) <= s:
-            return False
-    for alpha in s:
-        for beta in s:
-            if not extension_root_closure(q, alpha, beta, cap) <= s:
-                return False
-    return True
-
-
-def is_wide(q: Quiver, s: IndecSet, cap: int = DEFAULT_CAP) -> bool:
-    """Oracle: closed under kernels, cokernels and extensions, checked on
-    every GF(2) morphism between members."""
-    require_finite_type(q)
-    s = frozenset(s)
-    _check_roots(q, s)
-    for alpha in s:
-        for beta in s:
-            if not extension_root_closure(q, alpha, beta, cap) <= s:
-                return False
-            ma = indecomposable(q, alpha, GF2)
-            mb = indecomposable(q, beta, GF2)
-            basis = hom_basis(ma, mb).elements
-            for coeffs in itertools.product(range(2), repeat=len(basis)):
-                if not any(coeffs):
-                    continue
-                phi = [
-                    [
-                        [
-                            sum(c * basis[k][v][i][j] for k, c in enumerate(coeffs)) % 2
-                            for j in range(ma.dims[v])
-                        ]
-                        for i in range(mb.dims[v])
-                    ]
-                    for v in range(q.n)
-                ]
-                kernel = tuple(
-                    fields.row_space(GF2, fields.nullspace(GF2, phi[v], ma.dims[v]))
-                    for v in range(q.n)
-                )
-                if not set(decompose(q, sub_representation(ma, kernel))) <= s:
-                    return False
-                image = tuple(
-                    fields.row_space(
-                        GF2,
-                        [
-                            [phi[v][i][j] for i in range(mb.dims[v])]
-                            for j in range(ma.dims[v])
-                        ],
-                    )
-                    for v in range(q.n)
-                )
-                if not set(decompose(q, quotient_representation(mb, image))) <= s:
-                    return False
-    return True
-
-
 def _require_torsion_class(q: Quiver, t: IndecSet) -> None:
-    if frozenset(t) not in torsion_classes_set(q):
+    """T is a torsion class exactly when T = T(T) = ⊥(T^⊥)."""
+    if torsion_closure(q, t) != frozenset(t):
         raise ValueError("input is not a (finitely generated) torsion class")
 
 
@@ -353,11 +181,6 @@ def enumerate_torsion_classes(q: Quiver) -> tuple[IndecSet, ...]:
     return tuple(ordered)
 
 
-@lru_cache(maxsize=None)
-def torsion_classes_set(q: Quiver) -> frozenset[IndecSet]:
-    return frozenset(enumerate_torsion_classes(q))
-
-
 def wide_simples(q: Quiver, a: IndecSet) -> tuple[Root, ...]:
     """Simple objects of a wide subcategory in exceptional-sequence order.
 
@@ -406,29 +229,3 @@ def torsion_free_complement(q: Quiver, t: IndecSet) -> IndecSet:
         for x in positive_roots(q)
         if all(hom_dim_roots(q, y, x) == 0 for y in t)
     )
-
-
-def torsion_subobject(
-    q: Quiver, t: IndecSet, m: Representation, cap: int = DEFAULT_CAP
-) -> Representation:
-    """t(X): the maximal subobject of X lying in add T (field of X)."""
-    t = frozenset(t)
-    _require_torsion_class(q, t)
-    candidates = []
-    for sub in subrepresentation_subspaces(m, cap):
-        if set(decompose(q, sub_representation(m, sub))) <= t:
-            candidates.append(sub)
-    field = m.field
-
-    def contains(big, small) -> bool:
-        for v in range(q.n):
-            pivots = fields.pivots_of(field, big[v])
-            for row in small[v]:
-                if not fields.in_span(field, big[v], pivots, row):
-                    return False
-        return True
-
-    best = max(candidates, key=lambda sub: sum(len(rows) for rows in sub))
-    if not all(contains(best, other) for other in candidates):
-        raise RuntimeError("torsion subobjects have no unique maximum")
-    return sub_representation(m, best)

@@ -11,18 +11,15 @@ import time
 from dataclasses import dataclass, field
 
 from . import cluster as cl
-from . import latt, ncmap, stab, tors
+from . import latt, ncmap, replab, stab, tors
+from .latt import absolute_length, absolute_leq, noncrossing_partitions, weyl_group
 from .quiver import Quiver, coxeter_element_word, positive_roots, support
 from .weyl import (
     GroupElement,
-    absolute_length,
-    absolute_leq,
     coxeter_element,
     is_c_sortable,
-    noncrossing_partitions,
     reduced_word,
     reflection,
-    weyl_group,
     word_to_element,
 )
 
@@ -78,21 +75,21 @@ def suite_bijections(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
 
     for c in tiltings:
         rep.check(
-            tors.ext_projectives(q, tors.gen(q, c)) == c,
+            tors.ext_projectives(q, replab.gen(q, c)) == c,
             f"ext_projectives(gen(C)) != C for C={_roots_str(c)}",
         )
     for t in classes:
         rep.check(
-            tors.gen(q, tors.ext_projectives(q, t)) == t,
+            replab.gen(q, tors.ext_projectives(q, t)) == t,
             f"gen(ext_projectives(T)) != T for T={_roots_str(t)}",
         )
         wide = tors.a_of(q, t)
         rep.check(
-            tors.gen(q, wide) == t,
+            replab.gen(q, wide) == t,
             f"gen(a(T)) != T for T={_roots_str(t)}",
         )
         rep.check(
-            tors.a_of(q, tors.gen(q, wide)) == wide,
+            tors.a_of(q, replab.gen(q, wide)) == wide,
             f"a(gen(A)) != A for A={_roots_str(wide)}",
         )
     for c in tiltings:
@@ -139,7 +136,7 @@ def suite_bijections(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
             for sub in itertools.combinations(positive_roots(q), k):
                 s = frozenset(sub)
                 rep.check(
-                    tors.is_torsion_class(q, s, cap) == (s in class_set),
+                    replab.is_torsion_class(q, s, cap) == (s in class_set),
                     f"oracle disagrees on {_roots_str(s)}",
                 )
     rep.wall_time = time.monotonic() - t0
@@ -149,9 +146,9 @@ def suite_bijections(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
 def suite_lattice(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
     rep = VerifyReport("lattice")
     t0 = time.monotonic()
-    nc = noncrossing_partitions(q)
-    nc_poset = latt.FinitePoset(tuple(range(len(nc))), nc.leq)
-    rep.check(latt.lattice_analyze(nc_poset).is_lattice, "NC poset is not a lattice")
+    rep.check(
+        latt.lattice_analyze(noncrossing_partitions(q)).is_lattice, "NC poset is not a lattice"
+    )
 
     cp = latt.cambrian_poset(q)
     analysis = latt.lattice_analyze(cp)
@@ -232,7 +229,7 @@ def suite_stability(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
             )
         if q.n <= 3:
             rep.check(
-                tors.is_wide(q, frozenset(r.semistable), cap),
+                replab.is_wide(q, frozenset(r.semistable), cap),
                 f"semistables of C={_roots_str(c)} fail the wide oracle",
             )
     rep.wall_time = time.monotonic() - t0

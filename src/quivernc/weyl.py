@@ -1,9 +1,9 @@
-"""Coxeter group elements as integer matrices on the root lattice.
+"""Coxeter group elements as integer matrices on the root lattice, and the
+Auslander-Reiten quiver knitted from integer vectors.
 
-Reflections, inversion sets, the two length functions, absolute order, the
-noncrossing partition poset, c-sortability and cover reflections. These rest
-on two integer primitives: the sign of (a, w(2 rho)) for inversions and
-descents, and rank(u - v) for absolute order.
+Reflections, inversion sets, length, c-sortability, cover reflections,
+reduced and c-sorting words, and the AR translate. These rest on the sign
+of (a, w(2 rho)) for inversions and descents.
 
 Words come from one vector. The pairings z = B w(2 rho) (B the Cartan
 matrix) mark the left descents of w, the v with z_v < 0, and s_v w has the
@@ -11,9 +11,12 @@ pairings z - z_v B e_v, so stripping a letter costs O(n), not a matrix
 product. An inversion set N fixes the vector, w(2 rho) = 2 rho - 2 sum(N),
 so the c-sorting word of the element with inversion set N needs no matrix
 at all. A product of reflections s_r = 1 - r (B r)^T is built by rank-one
-row updates. `GroupElement.inverse`, `fixed_space` and `weyl_group` remain
-as oracles for `verify` and the tests; no production map inverts an
-element or enumerates W.
+row updates. `GroupElement.inverse` and `fixed_space` remain for `verify`
+and the tests; the walk over W and absolute order live in `latt`.
+
+The AR quiver is knitted from the projective roots, whose entries count
+paths, with the Coxeter transformation; its construction from explicit Hom
+bases, `replab.ar_quiver_by_hom_basis`, is the oracle for it.
 
 Convention (fixed globally): a word (v1,...,vk) denotes s_{v1} o ... o s_{vk},
 so its matrix is S_{v1} @ ... @ S_{vk} and the rightmost letter acts first
@@ -22,13 +25,13 @@ on column vectors: w(v) = mat . v.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import fields
+from .errors import FingerprintError
 from .quiver import (
     DimVector,
     Quiver,
@@ -36,6 +39,7 @@ from .quiver import (
     Vertex,
     cartan_matrix,
     coxeter_element_word,
+    is_positive_root,
     positive_roots,
     require_finite_type,
     simple_roots,
@@ -86,44 +90,6 @@ class GroupElement:
 
     def is_identity(self) -> bool:
         return all(self.mat[i][j] == (1 if i == j else 0) for i in range(self.n) for j in range(self.n))
-
-    def to_json(self) -> str:
-        return json.dumps([list(row) for row in self.mat])
-
-
-@dataclass(frozen=True)
-class NCPoset:
-    """The interval [e, cox(Q)] of absolute order."""
-
-    elements: tuple[GroupElement, ...]
-    leq: tuple[tuple[bool, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def index(self, w: GroupElement) -> int:
-        return self.elements.index(w)
-
-    def cover_relations(self) -> tuple[tuple[int, int], ...]:
-        n = len(self.elements)
-        covers = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if not any(
-                    k != i and k != j and self.leq[i][k] and self.leq[k][j] for k in range(n)
-                ):
-                    covers.append((i, j))
-        return tuple(covers)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "elements": [[list(r) for r in w.mat] for w in self.elements],
-                "cover_relations": [list(c) for c in self.cover_relations()],
-            }
-        )
 
 
 def _check_root(q: Quiver, v: Root) -> None:
@@ -177,26 +143,6 @@ def word_to_element(q: Quiver, word: tuple[Vertex, ...]) -> GroupElement:
 @lru_cache(maxsize=None)
 def coxeter_element(q: Quiver) -> GroupElement:
     return word_to_element(q, coxeter_element_word(q))
-
-
-@lru_cache(maxsize=None)
-def weyl_group(q: Quiver) -> tuple[GroupElement, ...]:
-    """Full finite Weyl group by breadth-first closure under the simple
-    reflections (right multiplication)."""
-    require_finite_type(q)
-    gens = [simple_reflection(q, v) for v in q.vertices]
-    seen = {GroupElement.identity(q.n)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                u = w * s
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda w: w.mat))
 
 
 @lru_cache(maxsize=None)
@@ -290,36 +236,6 @@ def fixed_space(q: Quiver, w: GroupElement) -> tuple[tuple[Fraction, ...], ...]:
     return fields.row_space(fields.QQ, basis)
 
 
-def _rank_of_difference(u: GroupElement, v: GroupElement) -> int:
-    """rank(u - v) = l_T(v^{-1} u): v^{-1} u fixes x exactly when u.x = v.x."""
-    rows = [[x - y for x, y in zip(ru, rv)] for ru, rv in zip(u.mat, v.mat)]
-    return fields.rank(fields.QQ, rows)
-
-
-def absolute_length(q: Quiver, w: GroupElement) -> int:
-    """l_T(w) = n - dim fix(w) = rank(w - 1) (Carter's lemma) in finite type."""
-    require_finite_type(q)
-    return _rank_of_difference(w, GroupElement.identity(q.n))
-
-
-def absolute_leq(q: Quiver, u: GroupElement, v: GroupElement) -> bool:
-    """u <= v in absolute order: l_T(u) + l_T(u^{-1} v) = l_T(v)."""
-    return absolute_length(q, u) + _rank_of_difference(v, u) == absolute_length(q, v)
-
-
-@lru_cache(maxsize=None)
-def noncrossing_partitions(q: Quiver) -> NCPoset:
-    """The interval [e, cox(Q)] in absolute order, as a poset."""
-    require_finite_type(q)
-    cox = coxeter_element(q)
-    elems = [w for w in weyl_group(q) if absolute_leq(q, w, cox)]
-    elems.sort(key=lambda w: (absolute_length(q, w), w.mat))
-    leq = tuple(
-        tuple(absolute_leq(q, u, v) for v in elems) for u in elems
-    )
-    return NCPoset(tuple(elems), leq)
-
-
 def _left_descent(q: Quiver, w: GroupElement, v: Vertex) -> bool:
     """l_S(s_v w) < l_S(w), i.e. e_v lies in the inversion set of w."""
     return _rho_pairings(q, w)[v - 1] < 0
@@ -391,7 +307,99 @@ def c_sorting_word(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> tu
     return _strip_descents(q, _rho_pairings(q, w), tuple(c_word))
 
 
-def element_repr(q: Quiver, w: GroupElement) -> str:
-    """Reduced word rendering, 'e' for the identity."""
-    word = reduced_word(q, w)
-    return "e" if not word else ".".join(f"s{v}" for v in word)
+def projective_root(q: Quiver, v: Vertex) -> Root:
+    """dim P_v: its entry at w counts the paths v -> w, summed over the
+    vertices in topological order."""
+    dims = [int(u == v) for u in q.vertices]
+    for u in q.topological_order():
+        for k in q.arrows_out_of(u):
+            dims[q.arrows[k][1] - 1] += dims[u - 1]
+    return tuple(dims)
+
+
+@lru_cache(maxsize=None)
+def projective_roots(q: Quiver) -> frozenset[Root]:
+    return frozenset(projective_root(q, v) for v in q.vertices)
+
+
+def tau(q: Quiver, root: Root) -> Root | None:
+    """AR translate on dimension vectors: cox(Q) . root, none on projectives."""
+    require_finite_type(q)
+    if not is_positive_root(q, root):
+        raise ValueError(f"{root} is not a positive root")
+    if root in projective_roots(q):
+        return None
+    image = coxeter_element(q).apply(root)
+    if not is_positive_root(q, image):
+        raise FingerprintError(f"tau({root}) = {image} is not a positive root")
+    return image
+
+
+@lru_cache(maxsize=None)
+def ar_quiver(q: Quiver) -> tuple[tuple[Root, Root], ...]:
+    """Edges of the AR quiver, knitted from the projective roots.
+
+    Every indecomposable of a Dynkin quiver is preprojective, tau^-k P_v for
+    one k >= 0 and one vertex v, with dimension vector cox(Q)^-k dim P_v.
+    An arrow s -> t of Q is an irreducible map P_t -> P_s, and it gives the
+    AR arrows tau^-k P_t -> tau^-k P_s and tau^-k P_s -> tau^-(k+1) P_t.
+    Checked: the vertices are the positive roots, each once, and every mesh
+    satisfies dim tau^-1 X = sum of the successors of X - dim X.
+    """
+    require_finite_type(q)
+    b = cartan_matrix(q)
+    orbit: dict[tuple[Vertex, int], Root] = {}  # (v, k) -> dim tau^-k P_v
+    for v in q.vertices:
+        x, k = projective_root(q, v), 0
+        while all(c >= 0 for c in x):  # a root is positive or negative
+            orbit[v, k] = x
+            x, k = list(x), k + 1
+            for u in coxeter_element_word(q):  # cox^-1 = s_{u_n} ... s_{u_1}
+                x[u - 1] -= sum(b[u - 1][j] * x[j] for j in range(q.n))
+            x = tuple(x)
+    if sorted(orbit.values()) != list(positive_roots(q)):
+        raise FingerprintError("the tau^-1 orbits of the projectives are not the positive roots")
+    edges = []
+    for s, t in q.arrows:
+        for (v, k), x in orbit.items():
+            if v == t and (s, k) in orbit:
+                edges.append((x, orbit[s, k]))
+            if v == s and (t, k + 1) in orbit:
+                edges.append((x, orbit[t, k + 1]))
+    successors: dict[Root, list[Root]] = {x: [] for x in orbit.values()}
+    for x, y in edges:
+        successors[x].append(y)
+    for (v, k), x in orbit.items():
+        if (v, k + 1) in orbit and orbit[v, k + 1] != tuple(
+            sum(col) - c for col, c in zip(zip(*successors[x]), x)
+        ):
+            raise FingerprintError(f"the mesh starting at {x} breaks the dimension rule")
+    return tuple(sorted(edges))
+
+
+@lru_cache(maxsize=None)
+def ar_linear_order(q: Quiver) -> tuple[Root, ...]:
+    """Lexicographically least topological sort of the AR quiver."""
+    edges = ar_quiver(q)
+    roots = list(positive_roots(q))
+    preds: dict[Root, set[Root]] = {r: set() for r in roots}
+    for a, b in edges:
+        preds[b].add(a)
+    order = []
+    remaining = set(roots)
+    while remaining:
+        ready = sorted(r for r in remaining if not (preds[r] & remaining))
+        order.append(ready[0])
+        remaining.remove(ready[0])
+    return tuple(order)
+
+
+def ar_dot(q: Quiver) -> str:
+    """Graphviz rendering of the AR quiver."""
+    lines = ["digraph AR {"]
+    for r in positive_roots(q):
+        lines.append(f'  "{list(r)}";')
+    for a, b in ar_quiver(q):
+        lines.append(f'  "{list(a)}" -> "{list(b)}";')
+    lines.append("}")
+    return "\n".join(lines)

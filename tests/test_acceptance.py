@@ -46,12 +46,10 @@ from quivernc import (
     verify_semistable_theorem,
     weyl_group,
 )
-from quivernc.latt import FinitePoset
 from quivernc.ncmap import braid_orbit, braid_act, complete_exceptional_sequences
-from quivernc.replab import ar_quiver, projective_roots, tau
 from quivernc.quiver import coxeter_element_word, support
 from quivernc.verify import min_deletions_to_identity
-from quivernc.weyl import fixed_space, reduced_word
+from quivernc.weyl import ar_quiver, fixed_space, projective_roots, reduced_word, tau
 
 
 def catalan_number(q):
@@ -216,12 +214,11 @@ def test_criterion_03_oracle_equivalence(fix, request):
 def test_criterion_04_nc_lattice_and_order_isomorphism(fix, request):
     q = request.getfixturevalue(fix)
     nc = noncrossing_partitions(q)
-    poset = FinitePoset(tuple(range(len(nc))), nc.leq)
-    assert lattice_analyze(poset).is_lattice
+    assert lattice_analyze(nc).is_lattice
     classes = enumerate_torsion_classes(q)
     images = {t: nc_of_torsion(q, t) for t in classes}
     assert len(set(images.values())) == len(classes)
-    assert set(images.values()) == set(nc.elements)
+    assert set(images.values()) == set(nc.payloads)
     if fix == "a3":
         # the isomorphism pairs wide-subcategory inclusion with absolute
         # order; checked in both directions over all 14 x 14 pairs

@@ -15,6 +15,7 @@ from quivernc import (
     enumerate_support_tilting,
     is_c_sortable,
     is_torsion_class,
+    latt,
     parse_quiver,
     positive_roots,
     replab,
@@ -25,7 +26,7 @@ from quivernc import (
 from quivernc.cli import _KINDS, _emit_object, main
 from quivernc.cluster import all_cc_indecs
 from quivernc.quiver import coxeter_element_word
-from quivernc.tors import is_wide
+from quivernc.replab import is_wide
 
 A2 = "vertices 2\narrow 2 1"
 A3 = "vertices 3\narrow 2 1\narrow 2 3"
@@ -221,7 +222,6 @@ class TestOracleFree:
             raise AssertionError("production path reached the GF(2) oracle")
 
         monkeypatch.setattr(replab, "subrepresentation_subspaces", refuse)
-        monkeypatch.setattr(tors, "subrepresentation_subspaces", refuse)
 
     def test_table(self, capsys):
         code, out, _ = run(capsys, "table", D4)
@@ -248,7 +248,7 @@ class TestWeylFree:
 
         monkeypatch.setattr(weyl.GroupElement, "inverse", refuse)
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "quivernc" and getattr(module, "weyl_group", None) is weyl.weyl_group:
+            if name.split(".")[0] == "quivernc" and getattr(module, "weyl_group", None) is latt.weyl_group:
                 monkeypatch.setattr(module, "weyl_group", refuse)
 
     def test_table(self, capsys):
@@ -293,7 +293,7 @@ class TestHomSolveFree:
         for module in modules:
             if getattr(module, "hom_basis", None) is replab.hom_basis:
                 monkeypatch.setattr(module, "hom_basis", refuse)
-            if getattr(module, "gen", None) is tors.gen:
+            if getattr(module, "gen", None) is replab.gen:
                 monkeypatch.setattr(module, "gen", refuse)
 
     def test_table(self, capsys):
@@ -333,6 +333,24 @@ class TestHomSolveFree:
             assert len(json.loads(out)) == size
 
 
+@pytest.mark.parametrize("src,dst,obj", [
+    ("torsion", "wide", [[0, 1, 0, 0], [0, 1, 0, 1], [1, 1, 0, 0], [1, 1, 0, 1]]),
+    ("support", "nc", [[0, 0, 1, 0], [0, 1, 1, 0], [0, 1, 1, 1]]),
+])
+def test_map_checks_membership_without_enumerating(capsys, monkeypatch, src, dst, obj):
+    """A map query tests its torsion class by closure, T = ⊥(T^⊥), and never
+    lists every torsion class of the quiver."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a map query enumerated the torsion classes")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quivernc" and getattr(
+                module, "enumerate_torsion_classes", None) is tors.enumerate_torsion_classes:
+            monkeypatch.setattr(module, "enumerate_torsion_classes", refuse)
+    code, out, _ = run(capsys, "map", D4, "--from", src, "--to", dst, "--object", json.dumps(obj))
+    assert code == 0 and out
+
+
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "exceptional", A2)
@@ -352,6 +370,12 @@ class TestVerify:
 
 
 class TestErrors:
+    def test_deeply_nested_object_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "map", D4, "--from", "torsion", "--to", "wide",
+                             "--object", "[" * 30000)
+        assert code == 2 and out == ""
+        assert "nested too deeply" in err and "internal" not in err
+
     def test_syntax_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, "roots", "vertices 2\narrow 1 1")
         assert code == 2 and "loop" in err

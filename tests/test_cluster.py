@@ -9,12 +9,12 @@ from quivernc import (
     cluster_tilting_objects,
     complete_support_tilting,
     enumerate_support_tilting,
-    gen_leq,
     gen_of,
     mutate,
     support_tilting_of,
 )
-from quivernc.cluster import CCIndec, all_cc_indecs, cluster_tilting_to_json
+from quivernc.cli import _emit_object
+from quivernc.cluster import CCIndec, all_cc_indecs
 
 
 class TestOrthogonality:
@@ -119,7 +119,7 @@ class TestGenOrder:
         bottom = frozenset({cc_shift(1), cc_shift(2)})
         assert gen_of(a2, bottom) == frozenset()
         for t in cluster_tilting_objects(a2):
-            assert gen_leq(a2, bottom, t)
+            assert gen_of(a2, bottom) <= gen_of(a2, t)
 
     def test_gen_of_example(self, a2):
         t = frozenset({cc_rep((1, 1)), cc_rep((0, 1))})
@@ -128,8 +128,7 @@ class TestGenOrder:
     def test_gen_leq_example(self, a2):
         t1 = frozenset({cc_rep((1, 1)), cc_rep((0, 1))})
         t2 = frozenset({cc_rep((1, 1)), cc_rep((1, 0))})
-        assert gen_leq(a2, t1, t2)
-        assert not gen_leq(a2, t2, t1)
+        assert gen_of(a2, t1) < gen_of(a2, t2)
 
 
 def test_ccindec_validation():
@@ -141,5 +140,5 @@ def test_ccindec_validation():
 
 def test_cluster_json(a2):
     t = frozenset({cc_rep((0, 1)), cc_shift(1)})
-    doc = json.loads(cluster_tilting_to_json(t))
+    doc = json.loads(_emit_object(a2, "cluster", t))
     assert doc == {"summands": [{"rep": [0, 1]}, {"shift": 1}]}

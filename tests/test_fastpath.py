@@ -26,6 +26,7 @@ from quivernc import (
     noncrossing_partitions,
     parse_quiver,
     positive_roots,
+    projective_rep,
     simple_reflection,
     sortable_of_torsion,
     split_projectives,
@@ -54,7 +55,6 @@ from quivernc.quiver import (
     support,
 )
 from quivernc.replab import (
-    ar_quiver,
     ar_quiver_by_hom_basis,
     decompose,
     ext_dim,
@@ -66,7 +66,9 @@ from quivernc.tors import is_support_tilting, wide_simples
 from quivernc.weyl import (
     GroupElement,
     _left_descent,
+    ar_quiver,
     c_sorting_word,
+    projective_root,
     reduced_word,
     reflection,
     reflection_root,
@@ -119,7 +121,7 @@ def test_nc_interval_matches_poset(a3, d4):
     for q in (a3, d4):
         cox = coxeter_element(q)
         nc = {w for w in weyl_group(q) if absolute_leq(q, w, cox)}
-        assert nc == set(noncrossing_partitions(q).elements)
+        assert nc == set(noncrossing_partitions(q).payloads)
 
 
 def test_orientation_counts():
@@ -138,6 +140,8 @@ def test_hom_ext_closed_form_matches_explicit_reps(q):
                 assert hom_dim_roots(q, a, b) == hom_dim(reps[a], reps[b]), (field, a, b)
                 assert ext_dim_roots(q, a, b) == ext_dim(q, reps[a], reps[b]), (field, a, b)
         assert all(hom_dim_roots(q, r, r) == 1 for r in roots)  # Schur
+    for v in q.vertices:
+        assert projective_root(q, v) == projective_rep(q, v).dims, v
 
 
 @pytest.mark.parametrize("q", QUIVERS)

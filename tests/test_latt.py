@@ -12,10 +12,9 @@ from quivernc import (
     principal_torsion_classes,
     splitting_chain,
     torsion_join,
-    torsion_meet,
 )
 from quivernc.latt import _bound_tables
-from quivernc.tors import is_torsion_class
+from quivernc.replab import is_torsion_class
 
 
 def boolean_lattice_two_atoms():
@@ -111,9 +110,8 @@ class TestLatticeAnalyze:
 
 class TestMeetJoin:
     def test_meet_is_intersection(self, a2):
-        t = frozenset({(1, 1), (0, 1)})
-        assert torsion_meet(a2, t, frozenset(positive_roots(a2))) == t
-        assert torsion_meet(a2, t, frozenset({(1, 0)})) == frozenset()
+        classes = set(enumerate_torsion_classes(a2))
+        assert all(t1 & t2 in classes for t1 in classes for t2 in classes)
 
     def test_join_forces_extension(self, a2):
         assert torsion_join(a2, frozenset({(1, 0)}), frozenset({(0, 1)})) == frozenset(
@@ -128,7 +126,7 @@ class TestMeetJoin:
         for i, t1 in enumerate(cp.payloads):
             for j, t2 in enumerate(cp.payloads):
                 assert torsion_join(q, t1, t2) == cp.payloads[joins[i][j]]
-                assert torsion_meet(q, t1, t2) == cp.payloads[meets[i][j]]
+                assert t1 & t2 == cp.payloads[meets[i][j]]
 
     def test_join_output_is_torsion_class(self, a3):
         classes = enumerate_torsion_classes(a3)

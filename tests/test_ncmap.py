@@ -53,7 +53,7 @@ class TestCoxOfWide:
         assert cox_of_wide(a2, frozenset()) == GroupElement.identity(2)
 
     def test_independent_of_exceptional_order(self, a2, a3):
-        from quivernc.replab import ext_dim_roots, hom_dim_roots
+        from quivernc.quiver import ext_dim_roots, hom_dim_roots
 
         for q in (a2, a3):
             for t in enumerate_torsion_classes(q):
@@ -91,7 +91,7 @@ class TestNCOfTorsion:
         q = request.getfixturevalue(fix)
         image = {nc_of_torsion(q, t) for t in enumerate_torsion_classes(q)}
         assert len(image) == count
-        assert image == set(noncrossing_partitions(q).elements)
+        assert image == set(noncrossing_partitions(q).payloads)
 
     def test_order_isomorphism_on_wides(self, a3):
         classes = enumerate_torsion_classes(a3)

@@ -20,14 +20,9 @@ from quivernc import (
     tau,
 )
 from quivernc.fields import GF2, GF3, QQ, rank, zeros
-from quivernc.replab import (
-    ar_dot,
-    direct_sum,
-    ext_dim_roots,
-    hom_dim,
-    hom_dim_roots,
-    projective_roots,
-)
+from quivernc.quiver import ext_dim_roots, hom_dim_roots
+from quivernc.replab import direct_sum, hom_dim
+from quivernc.weyl import ar_dot, ar_linear_order, projective_roots
 
 
 def ext_dim_cocycle(m, n):
@@ -308,8 +303,6 @@ class TestARQuiver:
     @pytest.mark.parametrize("fix", ["a2", "a3", "a4", "d4"])
     def test_acyclic(self, fix, request):
         q = request.getfixturevalue(fix)
-        from quivernc.replab import ar_linear_order
-
         order = ar_linear_order(q)  # raises if no topological order exists
         pos = {r: i for i, r in enumerate(order)}
         for a, b in ar_quiver(q):

@@ -15,9 +15,8 @@ from quivernc import (
 )
 from quivernc.fields import GF2
 from quivernc.quiver import support
-from quivernc.replab import direct_sum, simple_rep, subrep_dimvectors
+from quivernc.replab import direct_sum, is_wide, simple_rep, subrep_dimvectors
 from quivernc.stab import default_coefficients, euler_row, theta_value
-from quivernc.tors import is_wide
 
 
 def quotient_side_semistable(q, theta, m):

@@ -18,17 +18,16 @@ from quivernc import (
     wide_simples,
 )
 from quivernc.fields import GF2
+from quivernc.quiver import ext_dim_roots, hom_dim_roots
 from quivernc.replab import (
     decompose,
     direct_sum,
-    ext_dim_roots,
     hom_basis,
-    hom_dim_roots,
+    is_wide,
     simple_rep,
     sub_representation,
     subrepresentation_subspaces,
 )
-from quivernc.tors import is_wide
 
 
 def a_of_kernel_oracle(q, t):

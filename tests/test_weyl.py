@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from quivernc import (
@@ -19,8 +17,9 @@ from quivernc import (
     weyl_group,
     word_to_element,
 )
+from quivernc.cli import _word_str
 from quivernc.verify import min_deletions_to_identity
-from quivernc.weyl import element_repr, reduced_word
+from quivernc.weyl import reduced_word
 
 
 def s(q, *word):
@@ -113,7 +112,7 @@ class TestAbsoluteOrder:
 
     def test_triangle_inequality_with_nc_membership(self, a3):
         cox = coxeter_element(a3)
-        nc = set(noncrossing_partitions(a3).elements)
+        nc = set(noncrossing_partitions(a3).payloads)
         lc = absolute_length(a3, cox)
         for w in weyl_group(a3):
             total = absolute_length(a3, w) + absolute_length(a3, w.inverse() * cox)
@@ -135,7 +134,7 @@ class TestNCPoset:
             reflection(a2, (1, 1)),
             coxeter_element(a2),
         }
-        assert set(nc.elements) == expected
+        assert set(nc.payloads) == expected
 
     def test_counts(self, a3, a4, d4):
         assert len(noncrossing_partitions(a3)) == 14
@@ -146,26 +145,29 @@ class TestNCPoset:
         for q in (a2, a3):
             refl = {reflection(q, v) for v in positive_roots(q)}
             nc = noncrossing_partitions(q)
-            length_one = {w for w in nc.elements if absolute_length(q, w) == 1}
+            length_one = {w for w in nc.payloads if absolute_length(q, w) == 1}
             assert length_one <= refl
-        assert {w for w in noncrossing_partitions(a2).elements
+        assert {w for w in noncrossing_partitions(a2).payloads
                 if absolute_length(a2, w) == 1} == {reflection(a2, v) for v in positive_roots(a2)}
 
     def test_fixed_space_reverse_inclusion(self, a3):
         from quivernc.fields import QQ, in_span, pivots_of
 
         nc = noncrossing_partitions(a3)
-        for i, u in enumerate(nc.elements):
-            for j, v in enumerate(nc.elements):
+        for i, u in enumerate(nc.payloads):
+            for j, v in enumerate(nc.payloads):
                 if nc.leq[i][j]:
                     fu, fv = fixed_space(a3, u), fixed_space(a3, v)
                     pivots = pivots_of(QQ, fu)
                     assert all(in_span(QQ, fu, pivots, row) for row in fv)
 
-    def test_json(self, a2):
-        doc = json.loads(noncrossing_partitions(a2).to_json())
-        assert len(doc["elements"]) == 5
-        assert all(len(c) == 2 for c in doc["cover_relations"])
+    def test_covers(self, a2):
+        """e below each of the three reflections, each below cox(Q)."""
+        nc = noncrossing_partitions(a2)
+        e, cox = nc.payloads.index(GroupElement.identity(2)), nc.payloads.index(coxeter_element(a2))
+        assert sorted(nc.covers()) == sorted(
+            pair for r in range(len(nc)) if r not in (e, cox) for pair in ((e, r), (r, cox))
+        )
 
 
 class TestSortable:
@@ -225,8 +227,8 @@ def test_group_sizes(a2, a3, a4, d4):
 
 
 def test_element_repr(a2):
-    assert element_repr(a2, GroupElement.identity(2)) == "e"
-    assert element_repr(a2, simple_reflection(a2, 2)) == "s2"
+    assert _word_str(reduced_word(a2, GroupElement.identity(2))) == "e"
+    assert _word_str(reduced_word(a2, simple_reflection(a2, 2))) == "s2"
 
 
 def test_inverse_integrality(a3):
