@@ -2,6 +2,8 @@
 subcategories, noncrossing partitions and sortable elements for quivers of
 finite type, with exact linear algebra and brute-force oracles."""
 
+__version__ = "0.1.0"  # before the imports: `verify` reads it while the package loads
+
 from .errors import (
     FingerprintError,
     NotFiniteTypeError,
@@ -105,5 +107,3 @@ from .latt import (
     torsion_join,
     weyl_group,
 )
-
-__version__ = "0.1.0"

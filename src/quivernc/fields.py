@@ -1,9 +1,10 @@
 """Exact scalar fields and the small dense linear algebra used everywhere.
 
 No floating point: rational scalars are `fractions.Fraction`, finite-field
-scalars are ints reduced mod p.  Matrices are rows of scalars; functions
-accept any sequence-of-sequences and return lists (or tuples where the
-result is meant to be stored in a frozen dataclass or cache).
+scalars are ints reduced mod p, and `int_rank` works on integer matrices
+directly.  Matrices are rows of scalars; functions accept any
+sequence-of-sequences and return lists (or tuples where the result is
+meant to be stored in a frozen dataclass or cache).
 """
 
 from __future__ import annotations
@@ -158,6 +159,31 @@ def rref(field, rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
 
 def rank(field, rows: Sequence[Sequence]) -> int:
     return len(rref(field, rows)[0])
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix by Bareiss fraction-free elimination.
+
+    After each step the entries below the pivot row are minors of the
+    original matrix, so every division by the previous pivot is exact and
+    the arithmetic stays on Python ints.
+    """
+    a = [list(r) for r in rows]
+    r, prev = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p, pivot_row = a[r][c], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+        r += 1
+        if r == len(a):
+            break
+    return r
 
 
 def row_space(field, rows: Sequence[Sequence]) -> tuple[tuple, ...]:

@@ -1,7 +1,8 @@
 """Finite poset and lattice analytics, and the oracles on the lattice side:
-the walk over the Weyl group, absolute order by rank, the noncrossing
-partition poset [e, cox(Q)], meet/join of torsion classes, principal
-(join-irreducible) classes and the left-modular splitting chain.
+the walk over the Weyl group, absolute order by integer (Bareiss) rank with
+l_T computed once per element, the noncrossing partition poset
+[e, cox(Q)], meet/join of torsion classes, principal (join-irreducible)
+classes and the left-modular splitting chain.
 """
 
 from __future__ import annotations
@@ -257,9 +258,10 @@ def weyl_group(q: Quiver) -> tuple[GroupElement, ...]:
 def _rank_of_difference(u: GroupElement, v: GroupElement) -> int:
     """rank(u - v) = l_T(v^{-1} u): v^{-1} u fixes x exactly when u.x = v.x."""
     rows = [[x - y for x, y in zip(ru, rv)] for ru, rv in zip(u.mat, v.mat)]
-    return fields.rank(fields.QQ, rows)
+    return fields.int_rank(rows)
 
 
+@lru_cache(maxsize=None)
 def absolute_length(q: Quiver, w: GroupElement) -> int:
     """l_T(w) = n - dim fix(w) = rank(w - 1) (Carter's lemma) in finite type."""
     require_finite_type(q)

@@ -4,12 +4,14 @@ built on them.
 Hom/Ext computation, BGP reflection functors, construction of the
 indecomposable for each positive root, subrepresentation enumeration (the
 brute-force oracle substrate) and Krull-Schmidt decomposition by Hom
-fingerprints.  On top of these sit the references that `verify` and the
-tests check the integer fast path against: Gen(S) as a trace over explicit
-Hom bases (for `tors.torsion_closure`), the GF(2) quotient and extension
-closures behind `is_torsion_class` and `is_wide`, the torsion subobject,
-and the AR quiver from Hom bases (for `weyl.ar_quiver`).  No production
-module imports this one.
+fingerprints.  The Hom basis between the indecomposables of two roots is
+solved once per quiver, root pair and field, and serves both the
+decomposition's Hom table and Gen.  On top of these sit the references
+that `verify` and the tests check the integer fast path against: Gen(S) as
+a trace over explicit Hom bases (for `tors.torsion_closure`), the GF(2)
+quotient and extension closures behind `is_torsion_class` and `is_wide`,
+the torsion subobject, and the AR quiver from Hom bases (for
+`weyl.ar_quiver`).  No production module imports this one.
 """
 
 from __future__ import annotations
@@ -419,6 +421,13 @@ def indecomposable(q: Quiver, root: Root, field=QQ) -> Representation:
     return m
 
 
+@lru_cache(maxsize=None)
+def _indecomposable_hom_basis(q: Quiver, a: Root, b: Root, field) -> HomBasis:
+    """Hom(M_a, M_b) between the indecomposables of two positive roots,
+    solved once per quiver, root pair and field."""
+    return hom_basis(indecomposable(q, a, field), indecomposable(q, b, field))
+
+
 def _all_subspaces(field, dim: int) -> list[tuple[tuple, ...]]:
     """Every subspace of field^dim as a canonical RREF row basis."""
     out = [()]
@@ -548,9 +557,10 @@ def decompose(q: Quiver, m: Representation) -> tuple[Root, ...]:
         return ()
     order = ar_linear_order(q)
     field = m.field
-    indecs = [indecomposable(q, beta, field) for beta in order]
-    fingerprint = [hom_dim(x, m) for x in indecs]
-    hom_table = [[hom_dim(x, y) for y in indecs] for x in indecs]
+    fingerprint = [hom_dim(indecomposable(q, beta, field), m) for beta in order]
+    hom_table = [
+        [len(_indecomposable_hom_basis(q, a, b, field)) for b in order] for a in order
+    ]
     mult = [0] * len(order)
     for i in reversed(range(len(order))):
         acc = fingerprint[i] - sum(
@@ -630,16 +640,15 @@ def gen(q: Quiver, s: IndecSet, field=QQ) -> IndecSet:
         if x in s:
             out.add(x)
             continue
-        target = indecomposable(q, x, field)
         spans = [[] for _ in range(q.n)]
         for r in s:
-            for phi in hom_basis(indecomposable(q, r, field), target).elements:
+            for phi in _indecomposable_hom_basis(q, r, x, field).elements:
                 for v in range(q.n):
                     cols = len(phi[v][0]) if phi[v] else 0
                     for c in range(cols):
-                        spans[v].append([phi[v][i][c] for i in range(target.dims[v])])
+                        spans[v].append([phi[v][i][c] for i in range(x[v])])
         if all(
-            fields.rank(field, spans[v]) == target.dims[v] for v in range(q.n)
+            fields.rank(field, spans[v]) == x[v] for v in range(q.n)
         ):
             out.add(x)
     return frozenset(out)

@@ -11,6 +11,7 @@ closure oracles these are checked against live in `replab`.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .quiver import Quiver, Root, Vertex, positive_roots, require_finite_type, support
 from .quiver import ext_dim_roots, hom_dim_roots
@@ -44,20 +45,32 @@ def _union(masks: dict, s) -> int:
     return out
 
 
+def _euler_masks(q: Quiver, sign: int) -> dict[Root, int]:
+    """Bit j of root a's mask is set when sign * <a, b> > 0, b the j-th
+    positive root.  Each root's row a.E of the Euler matrix is formed once,
+    so <a, b> is one dot product per pair."""
+    roots = positive_roots(q)
+    out = {}
+    for a in roots:
+        row = list(a)
+        for s, t in q.arrows:
+            row[t - 1] -= a[s - 1]
+        out[a] = _mask(q, (b for b in roots if sign * sum(map(mul, row, b)) > 0))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _hom_masks(q: Quiver) -> dict[Root, int]:
-    """Bit j of root a's mask is set when Hom(M_a, M_b) != 0, b the j-th
-    positive root."""
-    roots = positive_roots(q)
-    return {a: _mask(q, (b for b in roots if hom_dim_roots(q, a, b) > 0)) for a in roots}
+    """Bit j of root a's mask is set when Hom(M_a, M_b) != 0, i.e.
+    <a, b> > 0 (see `hom_dim_roots`), b the j-th positive root."""
+    return _euler_masks(q, 1)
 
 
 @lru_cache(maxsize=None)
 def _ext_masks(q: Quiver) -> dict[Root, int]:
-    """Bit j of root a's mask is set when Ext^1(M_a, M_b) != 0, b the j-th
-    positive root."""
-    roots = positive_roots(q)
-    return {a: _mask(q, (b for b in roots if ext_dim_roots(q, a, b) > 0)) for a in roots}
+    """Bit j of root a's mask is set when Ext^1(M_a, M_b) != 0, i.e.
+    <a, b> < 0 (see `ext_dim_roots`), b the j-th positive root."""
+    return _euler_masks(q, -1)
 
 
 def torsion_closure(q: Quiver, s: IndecSet) -> IndecSet:

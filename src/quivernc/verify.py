@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import cluster as cl
-from . import latt, ncmap, replab, stab, tors
+from . import __version__, latt, ncmap, replab, stab, tors
 from .latt import absolute_length, absolute_leq, noncrossing_partitions, weyl_group
 from .quiver import Quiver, coxeter_element_word, positive_roots, support
 from .weyl import (
@@ -27,6 +27,8 @@ from .weyl import (
 @dataclass
 class VerifyReport:
     suite: str
+    seed: int
+    cap: int
     instances: int = 0
     failures: list[str] = field(default_factory=list)
     wall_time: float = 0.0
@@ -42,7 +44,15 @@ class VerifyReport:
 
     def to_json(self) -> str:
         return json.dumps(
-            {"check": self.suite, "instances": self.instances, "failures": self.failures}
+            {
+                "check": self.suite,
+                "instances": self.instances,
+                "failures": self.failures,
+                "wall_time": self.wall_time,
+                "seed": self.seed,
+                "cap": self.cap,
+                "version": __version__,
+            }
         )
 
 
@@ -62,7 +72,7 @@ def min_deletions_to_identity(q: Quiver, word: tuple[int, ...]) -> int:
 
 
 def suite_bijections(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
-    rep = VerifyReport("bijections")
+    rep = VerifyReport("bijections", seed, cap)
     t0 = time.monotonic()
     classes = tors.enumerate_torsion_classes(q)
     tiltings = tors.enumerate_support_tilting(q)
@@ -144,7 +154,7 @@ def suite_bijections(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
 
 
 def suite_lattice(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
-    rep = VerifyReport("lattice")
+    rep = VerifyReport("lattice", seed, cap)
     t0 = time.monotonic()
     rep.check(
         latt.lattice_analyze(noncrossing_partitions(q)).is_lattice, "NC poset is not a lattice"
@@ -204,7 +214,7 @@ def suite_lattice(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
 
 
 def suite_stability(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
-    rep = VerifyReport("stability")
+    rep = VerifyReport("stability", seed, cap)
     t0 = time.monotonic()
     rng = random.Random(seed)
     for c in tors.enumerate_support_tilting(q):
@@ -237,7 +247,7 @@ def suite_stability(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
 
 
 def suite_exceptional(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
-    rep = VerifyReport("exceptional")
+    rep = VerifyReport("exceptional", seed, cap)
     t0 = time.monotonic()
     cox = coxeter_element(q)
     seqs = ncmap.complete_exceptional_sequences(q)
@@ -266,7 +276,7 @@ def suite_exceptional(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
 
 
 def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
-    rep = VerifyReport("reading")
+    rep = VerifyReport("reading", seed, cap)
     t0 = time.monotonic()
     cword = coxeter_element_word(q)
     sortables = [w for w in weyl_group(q) if is_c_sortable(q, w, cword)]

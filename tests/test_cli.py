@@ -363,10 +363,13 @@ class TestVerify:
 
     def test_json_report_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "exceptional", A2,
-                           "--format", "json")
+                           "--format", "json", "--seed", "5", "--cap", "7")
         assert code == 0
         doc = json.loads(out.splitlines()[-1])
         assert doc["check"] == "exceptional" and doc["failures"] == []
+        assert doc["seed"] == 5 and doc["cap"] == 7
+        assert doc["version"] == quivernc.__version__
+        assert isinstance(doc["wall_time"], float) and doc["wall_time"] >= 0
 
 
 class TestErrors:

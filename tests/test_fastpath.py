@@ -62,7 +62,7 @@ from quivernc.replab import (
     sub_representation,
     subrepresentation_subspaces,
 )
-from quivernc.tors import is_support_tilting, wide_simples
+from quivernc.tors import _ext_masks, _hom_masks, is_support_tilting, wide_simples
 from quivernc.weyl import (
     GroupElement,
     _left_descent,
@@ -443,6 +443,16 @@ def compatible_search(items, compatible, size=None):
 
     extend((), 0)
     return found
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_hom_and_ext_masks_match_pairwise_forms(q):
+    roots = positive_roots(q)
+    for a in roots:
+        assert _hom_masks(q)[a] == sum(
+            1 << j for j, b in enumerate(roots) if hom_dim_roots(q, a, b) > 0), a
+        assert _ext_masks(q)[a] == sum(
+            1 << j for j, b in enumerate(roots) if ext_dim_roots(q, a, b) > 0), a
 
 
 @pytest.mark.parametrize("q", QUIVERS)

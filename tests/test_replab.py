@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -21,7 +22,9 @@ from quivernc import (
 )
 from quivernc.fields import GF2, GF3, QQ, rank, zeros
 from quivernc.quiver import ext_dim_roots, hom_dim_roots
-from quivernc.replab import direct_sum, hom_dim
+from quivernc import replab
+from quivernc.replab import direct_sum, gen, hom_dim
+from quivernc.tors import enumerate_support_tilting
 from quivernc.weyl import ar_dot, ar_linear_order, projective_roots
 
 
@@ -337,3 +340,50 @@ def test_representation_json(a2):
 def test_representation_shape_validation(a2):
     with pytest.raises(ValueError):
         Representation(a2, QQ, (1,), ())
+
+
+def clear_oracle_caches():
+    replab._indecomposable_hom_basis.cache_clear()
+    replab.indecomposable.cache_clear()
+
+
+def decompose_and_gen(q, field):
+    """decompose on every sum of at most two indecomposables and gen on every
+    support tilting object, all over `field`."""
+    roots = positive_roots(q)
+    sums = [
+        direct_sum([indecomposable(q, r, field) for r in c])
+        for k in (1, 2)
+        for c in itertools.combinations_with_replacement(roots, k)
+    ]
+    return (
+        [decompose(q, m) for m in sums],
+        [gen(q, s, field) for s in enumerate_support_tilting(q)],
+    )
+
+
+@pytest.mark.parametrize("first,second", [(QQ, GF2), (GF2, QQ)])
+@pytest.mark.parametrize("fix", ["a3", "d4"])
+def test_hom_basis_cache_keeps_fields_apart(fix, first, second, request):
+    q = request.getfixturevalue(fix)
+    fresh = {}
+    for field in (first, second):
+        clear_oracle_caches()
+        fresh[field] = decompose_and_gen(q, field)
+    clear_oracle_caches()
+    assert decompose_and_gen(q, first) == fresh[first]
+    assert decompose_and_gen(q, second) == fresh[second]
+    roots = positive_roots(q)
+    for field in (first, second):
+        for a, b in itertools.product(roots, roots):
+            basis = replab._indecomposable_hom_basis(q, a, b, field)
+            assert basis.source == indecomposable(q, a, field)
+            assert basis.target == indecomposable(q, b, field)
+            assert len(basis) == hom_dim_roots(q, a, b)
+
+
+@pytest.mark.parametrize("fix", ["a3", "d4"])
+def test_gen_does_not_depend_on_the_field(fix, request):
+    q = request.getfixturevalue(fix)
+    for s in enumerate_support_tilting(q):
+        assert gen(q, s, GF2) == gen(q, s, QQ), sorted(s)
