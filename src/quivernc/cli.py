@@ -16,6 +16,11 @@ of its own torsion class, or it is a usage error.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap or
 type error, 4 internal error (an invariant check failed, such as a
 `FingerprintError` or the minimal-generator check: a bug, not bad input).
+
+`main(argv)` may be called repeatedly in one process, as a query server
+does.  The argument parser is built once per process.  The quiver file is
+read again on every call, so an edited file is picked up; `parse_quiver` is
+memoised on the text, so the same text yields the same `Quiver` object.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import cluster as clus
 from . import ncmap, tors, verify
@@ -325,7 +331,11 @@ def positive_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, shared by every call: it depends only
+    on module constants, and `parse_args` keeps no state between calls.
+    Callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="quivernc",
         description="Torsion classes, clusters, noncrossing partitions and "

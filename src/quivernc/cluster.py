@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .quiver import Quiver, Root, Vertex, positive_roots, require_finite_type, support
 from .quiver import ext_dim_roots
-from .tors import IndecSet, compatible_sets, is_support_tilting, torsion_closure
+from .tors import IndecSet, _ext_free_masks, compatible_sets, is_support_tilting, torsion_closure
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,37 @@ def all_cc_indecs(q: Quiver) -> tuple[CCIndec, ...]:
 
 
 @lru_cache(maxsize=None)
+def _orth_masks(q: Quiver) -> dict[CCIndec, int]:
+    """Bit j of x's mask is set when x and all_cc_indecs(q)[j] are
+    orthogonal, as `cc_ext_orthogonal` decides.  all_cc_indecs lists the
+    positive roots in the bit order of `tors`, then P_1[1], ..., P_n[1];
+    a root is orthogonal to P_v[1] when its support misses v."""
+    roots, ext_free = positive_roots(q), _ext_free_masks(q)
+    m = len(roots)
+    out = {}
+    for v in q.vertices:  # every shift, and the roots whose support misses v
+        out[cc_shift(v)] = ((1 << q.n) - 1) << m | sum(
+            1 << j for j, r in enumerate(roots) if not r[v - 1])
+    for r in roots:
+        out[cc_rep(r)] = ext_free[r] | sum(1 << (m + v - 1) for v in q.vertices if not r[v - 1])
+    return out
+
+
+def _complements(q: Quiver, summands: frozenset) -> list[CCIndec]:
+    """The indecomposables outside `summands` orthogonal to all of them."""
+    items, orth = all_cc_indecs(q), _orth_masks(q)
+    allowed = (1 << len(items)) - 1
+    for x in summands:
+        allowed &= orth[x]
+    return [z for j, z in enumerate(items) if allowed >> j & 1 and z not in summands]
+
+
+@lru_cache(maxsize=None)
 def cluster_tilting_objects(q: Quiver) -> tuple[ClusterTilting, ...]:
     """All maximal pairwise-orthogonal objects; each has exactly n summands."""
-    items = all_cc_indecs(q)
-    orth = {
-        a: sum(1 << j for j, b in enumerate(items) if cc_ext_orthogonal(q, a, b))
-        for a in items
-    }
-    found = [frozenset(t) for t in compatible_sets(items, orth, q.n)]
+    found = [frozenset(t) for t in compatible_sets(all_cc_indecs(q), _orth_masks(q), q.n)]
     for t in found:
-        allowed = (1 << len(items)) - 1
-        for x in t:
-            allowed &= orth[x]
-        extra = [z for j, z in enumerate(items) if allowed >> j & 1 and z not in t]
-        if extra:
+        if _complements(q, t):
             raise RuntimeError(f"cluster tilting object {sorted(t, key=CCIndec.sort_key)} is not maximal")
     return tuple(sorted(found, key=lambda t: sorted(x.sort_key() for x in t)))
 
@@ -117,12 +134,10 @@ def mutate(q: Quiver, t: ClusterTilting, x: CCIndec) -> ClusterTilting:
     t = frozenset(t)
     if x not in t:
         raise ValueError(f"{x!r} is not a summand of the cluster tilting object")
+    if not t <= _orth_masks(q).keys():
+        raise ValueError("summands must be cluster-category indecomposables of the quiver")
     rest = t - {x}
-    complements = [
-        z
-        for z in all_cc_indecs(q)
-        if z not in rest and all(cc_ext_orthogonal(q, z, c) for c in rest)
-    ]
+    complements = _complements(q, rest)
     if len(complements) != 2 or x not in complements:
         raise RuntimeError(
             f"almost tilting object has {len(complements)} complements, expected 2"

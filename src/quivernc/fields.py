@@ -1,8 +1,8 @@
 """Exact scalar fields and the small dense linear algebra used everywhere.
 
 No floating point: rational scalars are `fractions.Fraction`, finite-field
-scalars are ints reduced mod p, and `int_rank` works on integer matrices
-directly.  Matrices are rows of scalars; functions accept any
+scalars are ints reduced mod p, and `int_echelon` works on integer
+matrices directly.  Matrices are rows of scalars; functions accept any
 sequence-of-sequences and return lists (or tuples where the result is
 meant to be stored in a frozen dataclass or cache).
 """
@@ -161,14 +161,16 @@ def rank(field, rows: Sequence[Sequence]) -> int:
     return len(rref(field, rows)[0])
 
 
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix by Bareiss fraction-free elimination.
+def int_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form of an integer matrix by Bareiss fraction-free
+    elimination: its nonzero rows and their pivot columns.
 
     After each step the entries below the pivot row are minors of the
     original matrix, so every division by the previous pivot is exact and
     the arithmetic stays on Python ints.
     """
     a = [list(r) for r in rows]
+    pivots: list[int] = []
     r, prev = 0, 1
     for c in range(len(a[0]) if a else 0):
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
@@ -180,10 +182,28 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
             f = a[i][c]
             a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = p
+        pivots.append(c)
         r += 1
         if r == len(a):
             break
-    return r
+    return a[:r], pivots
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix."""
+    return len(int_echelon(rows)[1])
+
+
+def int_in_span(echelon: Sequence[Sequence[int]], pivots: Sequence[int], v: Sequence[int]) -> bool:
+    """Whether v lies in the rational span of `int_echelon` rows: clear each
+    pivot column by an integer combination and look for a zero residue."""
+    res = list(v)
+    for row, c in zip(echelon, pivots):
+        f = res[c]
+        if f:
+            p = row[c]
+            res = [p * x - f * y for x, y in zip(res, row)]
+    return not any(res)
 
 
 def row_space(field, rows: Sequence[Sequence]) -> tuple[tuple, ...]:

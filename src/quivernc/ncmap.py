@@ -48,9 +48,9 @@ def wide_of_nc(q: Quiver, w: GroupElement) -> IndecSet:
     """Inverse of `cox_of_wide` on NC: the positive roots in Mov(w) = im(w - 1),
     which for w below cox(Q) are those of its wide subcategory (Brady-Watt)."""
     moved = [[w.mat[i][j] - (i == j) for i in range(q.n)] for j in range(q.n)]
-    reduced, pivots = fields.rref(fields.QQ, moved)  # rows span the columns of w - 1
+    echelon, pivots = fields.int_echelon(moved)  # rows span the columns of w - 1
     return frozenset(
-        x for x in positive_roots(q) if fields.in_span(fields.QQ, reduced, pivots, x)
+        x for x in positive_roots(q) if fields.int_in_span(echelon, pivots, x)
     )
 
 

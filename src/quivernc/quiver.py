@@ -90,11 +90,14 @@ class Quiver:
         return json.dumps({"vertices": self.n, "arrows": [list(a) for a in self.arrows]})
 
 
+@lru_cache(maxsize=None)
 def parse_quiver(text: str) -> Quiver:
     """Parse the quiver DSL.
 
     Line "vertices N" followed by zero or more lines "arrow S T"; comments
-    start with '#'.
+    start with '#'.  Memoised on the text: a `Quiver` is immutable, and
+    handing back the same object lets every per-quiver cache find it by
+    identity.
 
     >>> parse_quiver("vertices 2\\narrow 2 1").arrows
     ((2, 1),)

@@ -73,6 +73,18 @@ def _ext_masks(q: Quiver) -> dict[Root, int]:
     return _euler_masks(q, -1)
 
 
+@lru_cache(maxsize=None)
+def _ext_free_masks(q: Quiver) -> dict[Root, int]:
+    """Bit j of root a's mask is set when Ext^1 vanishes both ways between
+    M_a and M_b, b the j-th positive root."""
+    roots, ext, bits = positive_roots(q), _ext_masks(q), _bits(q)
+    every = (1 << len(roots)) - 1
+    return {
+        a: every & ~ext[a] & ~_mask(q, (b for b in roots if ext[b] & bits[a]))
+        for a in roots
+    }
+
+
 def torsion_closure(q: Quiver, s: IndecSet) -> IndecSet:
     """Indecomposables of T(S) = ⊥(S^⊥), the smallest torsion class
     containing S.
@@ -173,12 +185,9 @@ def compatible_sets(items: tuple, compatible: dict, size: int | None = None) -> 
 def enumerate_support_tilting(q: Quiver) -> tuple[IndecSet, ...]:
     """All basic support tilting objects, via Ext-compatible subset search."""
     require_finite_type(q)
-    roots, ext, bits = positive_roots(q), _ext_masks(q), _bits(q)
-    compatible = {  # no Ext^1 from a, and none into a
-        a: ~ext[a] & ~_mask(q, (b for b in roots if ext[b] & bits[a])) for a in roots
-    }
+    roots = positive_roots(q)
     found = [
-        frozenset(s) for s in compatible_sets(roots, compatible)
+        frozenset(s) for s in compatible_sets(roots, _ext_free_masks(q))
         if len(s) == _support_size(s)
     ]
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))

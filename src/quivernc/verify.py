@@ -27,6 +27,7 @@ from .weyl import (
 @dataclass
 class VerifyReport:
     suite: str
+    quiver: Quiver
     seed: int
     cap: int
     instances: int = 0
@@ -43,6 +44,8 @@ class VerifyReport:
             self.failures.append(payload)
 
     def to_json(self) -> str:
+        import hashlib  # loads OpenSSL, ~3.5 MB resident: only JSON reports pay for it
+
         return json.dumps(
             {
                 "check": self.suite,
@@ -51,6 +54,7 @@ class VerifyReport:
                 "wall_time": self.wall_time,
                 "seed": self.seed,
                 "cap": self.cap,
+                "quiver_sha256": hashlib.sha256(self.quiver.to_json().encode()).hexdigest(),
                 "version": __version__,
             }
         )
@@ -72,7 +76,7 @@ def min_deletions_to_identity(q: Quiver, word: tuple[int, ...]) -> int:
 
 
 def suite_bijections(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
-    rep = VerifyReport("bijections", seed, cap)
+    rep = VerifyReport("bijections", q, seed, cap)
     t0 = time.monotonic()
     classes = tors.enumerate_torsion_classes(q)
     tiltings = tors.enumerate_support_tilting(q)
@@ -154,7 +158,7 @@ def suite_bijections(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
 
 
 def suite_lattice(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
-    rep = VerifyReport("lattice", seed, cap)
+    rep = VerifyReport("lattice", q, seed, cap)
     t0 = time.monotonic()
     rep.check(
         latt.lattice_analyze(noncrossing_partitions(q)).is_lattice, "NC poset is not a lattice"
@@ -214,7 +218,7 @@ def suite_lattice(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
 
 
 def suite_stability(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
-    rep = VerifyReport("stability", seed, cap)
+    rep = VerifyReport("stability", q, seed, cap)
     t0 = time.monotonic()
     rng = random.Random(seed)
     for c in tors.enumerate_support_tilting(q):
@@ -247,7 +251,7 @@ def suite_stability(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
 
 
 def suite_exceptional(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
-    rep = VerifyReport("exceptional", seed, cap)
+    rep = VerifyReport("exceptional", q, seed, cap)
     t0 = time.monotonic()
     cox = coxeter_element(q)
     seqs = ncmap.complete_exceptional_sequences(q)
@@ -276,7 +280,7 @@ def suite_exceptional(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
 
 
 def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
-    rep = VerifyReport("reading", seed, cap)
+    rep = VerifyReport("reading", q, seed, cap)
     t0 = time.monotonic()
     cword = coxeter_element_word(q)
     sortables = [w for w in weyl_group(q) if is_c_sortable(q, w, cword)]

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -23,6 +25,7 @@ from quivernc import (
     weyl,
     weyl_group,
 )
+from quivernc import cli
 from quivernc.cli import _KINDS, _emit_object, main
 from quivernc.cluster import all_cc_indecs
 from quivernc.quiver import coxeter_element_word
@@ -370,6 +373,8 @@ class TestVerify:
         assert doc["seed"] == 5 and doc["cap"] == 7
         assert doc["version"] == quivernc.__version__
         assert isinstance(doc["wall_time"], float) and doc["wall_time"] >= 0
+        digest = hashlib.sha256(parse_quiver(A2).to_json().encode()).hexdigest()
+        assert doc["quiver_sha256"] == digest
 
 
 class TestErrors:
@@ -404,6 +409,16 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+def test_import_leaves_hashlib_unloaded():
+    """hashlib maps OpenSSL, about 3.5 MB resident: only `verify --format
+    json` loads it, for the quiver digest."""
+    env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
+    code = "import sys, quivernc.cli; print('hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.strip() == "False"
 
 
 def test_python_m_runs_the_cli():
@@ -479,3 +494,63 @@ def test_internal_error_exit_four_without_traceback(patch, argv, message):
     assert proc.returncode == 4 and proc.stdout == ""
     assert "error: internal:" in proc.stderr and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+class TestRepeatedCalls:
+    """`main` may be called many times in one process, as a query server
+    does: the parser is built once, and no call sees another's state."""
+
+    GOOD = [
+        ["table", A2],
+        ["map", A3, "--from", "torsion", "--to", "nc", "--object", A3_TORSION],
+        ["roots", A3, "--format", "json"],
+        ["enumerate", "--what", "clusters", A2],
+    ]
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in self.GOOD * 6:
+            assert run(capsys, *argv)[0] == 0
+        assert built.count("quivernc") <= 1  # none if an earlier test built it
+
+    def test_no_call_leaks_into_the_next(self, capsys):
+        fresh = {}
+        env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
+        for argv in self.GOOD:
+            proc = subprocess.run([sys.executable, "-m", "quivernc", *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            fresh[tuple(argv)] = (proc.returncode, proc.stdout)
+        odd_calls = [  # argv, exit code, whether it prints to stdout
+            (["map", A2, "--from", "torsion", "--to", "torsion", "--object", "[]",
+              "--format", "json"], 2, False),
+            (["map", A3, "--from", "torsion", "--to", "wide", "--object", "[[9,9,9]]"], 2, False),
+            (["table", A2, "--format", "json"], 0, True),
+        ]
+        for odd, want_code, prints in odd_calls:
+            try:
+                code, out, _ = run(capsys, *odd)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code, out = exc.code, capsys.readouterr().out
+            assert (code, out != "") == (want_code, prints), odd
+            for argv in self.GOOD:
+                assert run(capsys, *argv)[:2] == fresh[tuple(argv)], (odd, argv)
+        assert run(capsys, "table", A2)[1].startswith("cluster_tilting\tsupport_tilting")
+
+    def test_an_edited_quiver_file_is_read_again(self, capsys, tmp_path):
+        path = tmp_path / "q.quiver"
+        path.write_text(A2)
+        assert run(capsys, "roots", str(path))[1].splitlines() == ["[0,1]", "[1,0]", "[1,1]"]
+        assert cli._load_quiver(str(path)) is cli._load_quiver(str(path))
+        path.write_text(A3)
+        code, out, _ = run(capsys, "roots", str(path))
+        assert code == 0 and len(out.splitlines()) == 6
+        path.write_text("vertices 2\narrow 1 1")
+        code, out, err = run(capsys, "roots", str(path))
+        assert code == 2 and out == "" and "loop" in err

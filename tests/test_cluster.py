@@ -113,6 +113,11 @@ class TestMutation:
         with pytest.raises(ValueError):
             mutate(a2, t, cc_shift(1))
 
+    def test_summand_of_another_quiver(self, a2):
+        t = frozenset({cc_rep((1, 1)), cc_rep((0, 1)), cc_shift(3)})
+        with pytest.raises(ValueError, match="indecomposables of the quiver"):
+            mutate(a2, t, cc_rep((0, 1)))
+
 
 class TestGenOrder:
     def test_all_shifts_is_minimum(self, a2):

@@ -1,7 +1,7 @@
 """Integer fast paths against their representation-theoretic,
 matrix-product and pairwise-loop references, on every orientation of A3, A4
-and D4 (the Weyl checks also on a disconnected quiver, the AR quiver also
-on D5 and E6)."""
+and D4 (the Weyl checks also on a disconnected quiver, the AR quiver and
+`wide_of_nc` also on D5 and E6)."""
 
 import itertools
 from argparse import Namespace
@@ -18,6 +18,7 @@ from quivernc import (
     enumerate_support_tilting,
     enumerate_torsion_classes,
     ext_projectives,
+    fields,
     fixed_space,
     gen,
     indecomposable,
@@ -43,7 +44,7 @@ from quivernc.cli import (
     _word_str,
     cmd_map,
 )
-from quivernc.cluster import all_cc_indecs, cc_ext_orthogonal
+from quivernc.cluster import _orth_masks, all_cc_indecs, cc_ext_orthogonal, mutate
 from quivernc.fields import GF2, QQ
 from quivernc.ncmap import cox_of_wide, nc_of_torsion, sorting_word_of_torsion, wide_of_nc
 from quivernc.quiver import (
@@ -96,6 +97,11 @@ QUIVERS = [
     for q in orientations(n, edges)
 ]
 WEYL_QUIVERS = QUIVERS + [pytest.param(parse_quiver("vertices 3\narrow 1 2"), id="a2+a1")]
+AR_QUIVERS = QUIVERS + [
+    pytest.param(parse_quiver("vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5"), id="d5"),
+    pytest.param(parse_quiver(
+        "vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6"), id="e6"),
+]
 
 
 def gf2_simples(q, a):
@@ -186,6 +192,22 @@ def test_wide_of_nc_inverts_cox_of_wide(q):
     for t in enumerate_torsion_classes(q):
         a = a_of(q, t)
         assert wide_of_nc(q, cox_of_wide(q, a)) == a
+
+
+def wide_of_nc_over_qq(q, w):
+    """The positive roots in im(w - 1), by rational RREF of its columns."""
+    moved = [[w.mat[i][j] - (i == j) for i in range(q.n)] for j in range(q.n)]
+    reduced, pivots = fields.rref(QQ, moved)
+    return frozenset(x for x in positive_roots(q) if fields.in_span(QQ, reduced, pivots, x))
+
+
+@pytest.mark.parametrize("q", AR_QUIVERS)
+def test_wide_of_nc_matches_rational_span(q):
+    """On every NC element, and on all of W up to rank 4."""
+    elements = weyl_group(q) if q.n <= 4 else [
+        nc_of_torsion(q, t) for t in enumerate_torsion_classes(q)]
+    for w in elements:
+        assert wide_of_nc(q, w) == wide_of_nc_over_qq(q, w), w.mat
 
 
 @pytest.mark.parametrize("q", QUIVERS)
@@ -306,13 +328,6 @@ def test_enumerate_sortables_matches_weyl_filter(q):
     cword = coxeter_element_word(q)
     words = [c_sorting_word(q, w, cword) for w in weyl_group(q) if is_c_sortable(q, w, cword)]
     assert _enumerate_rows(q, "sortables") == sorted(words, key=lambda w: (len(w), w))
-
-
-AR_QUIVERS = QUIVERS + [
-    pytest.param(parse_quiver("vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5"), id="d5"),
-    pytest.param(parse_quiver(
-        "vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6"), id="e6"),
-]
 
 
 @pytest.mark.parametrize("q", AR_QUIVERS)
@@ -473,3 +488,27 @@ def test_ext_masks_match_pairwise_loops(q):
     clusters = compatible_search(items, lambda x, y: cc_ext_orthogonal(q, x, y), q.n)
     assert len(cluster_tilting_objects(q)) == len(clusters)
     assert set(cluster_tilting_objects(q)) == set(clusters)
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_cluster_orthogonality_masks_match_pairwise_predicate(q):
+    items = all_cc_indecs(q)
+    for x in items:
+        assert _orth_masks(q)[x] == sum(
+            1 << j for j, y in enumerate(items) if cc_ext_orthogonal(q, x, y)), x
+
+
+def mutate_pairwise(q, t, x):
+    """The other complement of t - x, by testing every indecomposable
+    against every remaining summand."""
+    rest = t - {x}
+    (other,) = [z for z in all_cc_indecs(q) if z not in rest and z != x
+                and all(cc_ext_orthogonal(q, z, c) for c in rest)]
+    return rest | {other}
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_mutate_matches_pairwise_search(q):
+    for t in cluster_tilting_objects(q):
+        for x in t:
+            assert mutate(q, t, x) == mutate_pairwise(q, t, x), (t, x)

@@ -1,5 +1,5 @@
-"""The integer (Bareiss) rank against the Fraction rank it replaces in
-absolute order."""
+"""The integer (Bareiss) rank and span membership against the Fraction
+rank and RREF span test they replace in absolute order and `wide_of_nc`."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,3 +52,20 @@ def test_int_rank_of_every_weyl_difference_on_a3():
         for v in w:
             rows = [[x - y for x, y in zip(ru, rv)] for ru, rv in zip(u.mat, v.mat)]
             assert fields.int_rank(rows) == fields.rank(fields.QQ, rows)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(low_rank_matrices(), dense_matrices()), st.data())
+def test_int_in_span_matches_fraction_span(rows, data):
+    """Vectors in the span (integer combinations of the rows) and arbitrary
+    ones, against the Fraction RREF membership test."""
+    ncols = len(rows[0]) if rows else 1
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    inside = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+    anywhere = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+    echelon, pivots = fields.int_echelon(rows)
+    reduced, qq_pivots = fields.rref(fields.QQ, rows)
+    assert pivots == qq_pivots
+    assert fields.int_in_span(echelon, pivots, inside)
+    for v in (inside, anywhere):
+        assert fields.int_in_span(echelon, pivots, v) == fields.in_span(fields.QQ, reduced, qq_pivots, v)
