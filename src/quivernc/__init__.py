@@ -1,8 +1,12 @@
-"""quivernc: torsion classes, cluster tilting objects, wide and semistable
-subcategories, noncrossing partitions and sortable elements for quivers of
-finite type, with exact linear algebra and brute-force oracles."""
+"""quivernc: torsion classes, cluster tilting objects, wide subcategories,
+noncrossing partitions and sortable elements for quivers of finite type.
 
-__version__ = "0.1.0"  # before the imports: `verify` reads it while the package loads
+The package root is the integer fast path.  The oracles that `verify` and
+the tests check it against are imported from their own modules:
+`quivernc.replab`, `quivernc.latt`, `quivernc.stab` and `quivernc.verify`.
+"""
+
+__version__ = "0.1.0"
 
 from .errors import (
     FingerprintError,
@@ -58,27 +62,6 @@ from .cluster import (
     mutate,
     support_tilting_of,
 )
-from .replab import (
-    Representation,
-    decompose,
-    ext_dim,
-    gen,
-    hom_basis,
-    indecomposable,
-    injective_rep,
-    is_torsion_class,
-    projective_rep,
-    reflect,
-    simple_rep,
-    subrep_dimvectors,
-    torsion_subobject,
-)
-from .stab import (
-    is_semistable,
-    semistable_indecs,
-    theta_of_support_tilting,
-    verify_semistable_theorem,
-)
 from .ncmap import (
     braid_act,
     complete_exceptional_sequences,
@@ -93,17 +76,4 @@ from .ncmap import (
     torsion_of_sortable,
     upper_indecs,
     wide_of_nc,
-)
-from .latt import (
-    FinitePoset,
-    LatticeReport,
-    absolute_length,
-    absolute_leq,
-    cambrian_poset,
-    lattice_analyze,
-    noncrossing_partitions,
-    principal_torsion_classes,
-    splitting_chain,
-    torsion_join,
-    weyl_group,
 )

@@ -17,6 +17,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap or
 type error, 4 internal error (an invariant check failed, such as a
 `FingerprintError` or the minimal-generator check: a bug, not bad input).
 
+Every verb but `verify` runs on the integer fast path.  `cmd_verify`
+imports the oracle module `verify` when it runs, so the other verbs never
+load `replab`, `latt`, `stab` or `verify`; `SUITES` names the suites, and
+suite `x` is `verify.suite_x`.  Each suite's report is printed when the
+suite finishes, before the next one runs or refuses.
+
 `main(argv)` may be called repeatedly in one process, as a query server
 does.  The argument parser is built once per process.  The quiver file is
 read again on every call, so an edited file is picked up; `parse_quiver` is
@@ -32,7 +38,7 @@ import sys
 from functools import lru_cache
 
 from . import cluster as clus
-from . import ncmap, tors, verify
+from . import ncmap, tors
 from .errors import NotFiniteTypeError, OracleCapError, QuiverSyntaxError
 from .quiver import Quiver, coxeter_element_word, parse_quiver, positive_roots
 from .weyl import (
@@ -47,6 +53,9 @@ from .weyl import (
 )
 
 USAGE_ERROR, CAP_ERROR, INTERNAL_ERROR = 2, 3, 4
+
+# The `verify` suites, in run order.
+SUITES = ("bijections", "lattice", "stability", "exceptional", "reading")
 
 
 def _load_quiver(arg: str) -> Quiver:
@@ -307,10 +316,11 @@ def cmd_table(q: Quiver, args) -> int:
 
 
 def cmd_verify(q: Quiver, args) -> int:
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    reports = [verify.SUITES[name](q, args.seed, args.cap) for name in names]
+    from . import verify  # the oracle path: only this verb loads it
+
     failed = False
-    for rep in reports:
+    for name in SUITES if args.suite == "all" else (args.suite,):
+        rep = getattr(verify, f"suite_{name}")(q, args.seed, args.cap)
         status = "pass" if rep.passed else "FAIL"
         print(
             f"{rep.suite}: {status} ({rep.instances} instances,"
@@ -320,6 +330,7 @@ def cmd_verify(q: Quiver, args) -> int:
             print(f"  counterexample: {payload}")
         if args.format == "json":
             print(rep.to_json())
+        sys.stdout.flush()  # out before a later suite runs, or refuses on stderr
         failed = failed or not rep.passed
     return 1 if failed else 0
 
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=tuple(verify.SUITES) + ("all",),
+        choices=SUITES + ("all",),
     )
     p.add_argument("--seed", type=int, default=0, help="seed for random stability coefficients")
     p.add_argument("--cap", type=positive_int, default=12, help="oracle total-dimension cap")

@@ -85,20 +85,10 @@ QQ = RationalField()
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 
-FIELDS_BY_NAME = {"Q": QQ, "GF2": GF2, "GF3": GF3}
-
 
 def zeros(field, nrows: int, ncols: int) -> list[list]:
     z = field.of_int(0)
     return [[z] * ncols for _ in range(nrows)]
-
-
-def identity(field, n: int) -> list[list]:
-    m = zeros(field, n, n)
-    one = field.of_int(1)
-    for i in range(n):
-        m[i][i] = one
-    return m
 
 
 def mat_mul(field, a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:

@@ -327,11 +327,3 @@ def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
     rep.wall_time = time.monotonic() - t0
     return rep
 
-
-SUITES = {
-    "bijections": suite_bijections,
-    "lattice": suite_lattice,
-    "stability": suite_stability,
-    "exceptional": suite_exceptional,
-    "reading": suite_reading,
-}

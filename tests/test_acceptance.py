@@ -15,9 +15,6 @@ import pytest
 from quivernc import (
     GroupElement,
     a_of,
-    absolute_length,
-    absolute_leq,
-    cambrian_poset,
     cluster_tilting_objects,
     complete_support_tilting,
     cover_criterion_check,
@@ -25,17 +22,12 @@ from quivernc import (
     enumerate_support_tilting,
     enumerate_torsion_classes,
     ext_projectives,
-    gen,
     gen_of,
     is_c_sortable,
-    is_torsion_class,
-    lattice_analyze,
     mutate,
     nc_of_torsion,
-    noncrossing_partitions,
     parse_quiver,
     positive_roots,
-    principal_torsion_classes,
     reading_cl,
     reading_nc,
     reflection,
@@ -43,11 +35,20 @@ from quivernc import (
     split_projectives,
     support_tilting_of,
     torsion_of_sortable,
-    verify_semistable_theorem,
+)
+from quivernc.latt import (
+    absolute_length,
+    absolute_leq,
+    cambrian_poset,
+    lattice_analyze,
+    noncrossing_partitions,
+    principal_torsion_classes,
     weyl_group,
 )
 from quivernc.ncmap import braid_orbit, braid_act, complete_exceptional_sequences
 from quivernc.quiver import coxeter_element_word, support
+from quivernc.replab import gen, is_torsion_class
+from quivernc.stab import verify_semistable_theorem
 from quivernc.verify import min_deletions_to_identity
 from quivernc.weyl import ar_quiver, fixed_space, projective_roots, reduced_word, tau
 

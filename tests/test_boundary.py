@@ -2,18 +2,28 @@
 
 Production modules serve every CLI verb but `verify`; oracle modules hold
 the explicit representations, GF(2) subobject enumeration and the walk over
-W that `verify` and the tests check the fast path against.  No production
-module imports an oracle module, except `cli`, whose `verify` verb runs the
-suites.  The package `__init__` re-exports both sides and sits on neither.
+W that `verify` and the tests check the fast path against.  The package
+`__init__` is production: it re-exports the fast path only.  No production
+module imports an oracle module, except `cli`, whose `verify` verb imports
+the suites when it runs.  The run-time tests check that: a data verb, or a
+bare `import quivernc`, leaves every oracle module unloaded.
 """
 
 import ast
+import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import quivernc
+import pytest
 
-PRODUCTION = {"__main__", "errors", "fields", "quiver", "weyl", "tors", "cluster", "ncmap",
-              "cli"}
+import quivernc
+from quivernc import cli, verify
+
+PRODUCTION = {"__init__", "__main__", "errors", "fields", "quiver", "weyl", "tors", "cluster",
+              "ncmap", "cli"}
 ORACLE = {"replab", "stab", "latt", "verify"}
 ALLOWED = {("cli", "verify")}
 PACKAGE = Path(quivernc.__file__).parent
@@ -46,7 +56,7 @@ def import_graph() -> dict[str, set[str]]:
 
 def test_every_module_is_on_exactly_one_side():
     assert not PRODUCTION & ORACLE
-    assert set(import_graph()) == PRODUCTION | ORACLE | {"__init__"}
+    assert set(import_graph()) == PRODUCTION | ORACLE
 
 
 def test_no_production_module_imports_an_oracle():
@@ -65,9 +75,53 @@ def test_the_reader_sees_every_import_form(tmp_path):
         "from .replab import gen\n"
         "from . import stab, tors\n"
         "import quivernc.latt\n"
-        "from quivernc.verify import SUITES\n"
+        "from quivernc.verify import suite_lattice\n"
         "def f():\n"
         "    from . import weyl\n"
         "    import json\n"
     )
     assert imported_modules(path) == {"replab", "stab", "tors", "latt", "verify", "weyl"}
+
+
+A3 = "vertices 3\narrow 2 1\narrow 2 3"
+
+
+def oracles_loaded(*argv: str) -> list[str]:
+    """The oracle modules loaded by a fresh interpreter that runs `main(argv)`,
+    or only imports the package when argv is empty."""
+    code = (
+        "import json, sys\n"
+        "import quivernc\n"
+        "if sys.argv[1:]:\n"
+        "    from quivernc.cli import main\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        f"print(json.dumps(sorted(m for m in {sorted(ORACLE)!r} if 'quivernc.' + m in sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("roots", A3),
+    ("ar", A3),
+    ("enumerate", "--what=torsion", A3),
+    ("map", A3, "--from", "torsion", "--to", "wide",
+     "--object", "[[0,1,0],[0,1,1],[1,1,0],[1,1,1]]"),
+    ("table", A3),
+], ids=["import", "roots", "ar", "enumerate", "map", "table"])
+def test_data_verbs_leave_the_oracles_unloaded(argv):
+    assert oracles_loaded(*argv) == []
+
+
+def test_the_verify_verb_loads_the_oracles():
+    assert oracles_loaded("verify", "--suite=exceptional", A3) == sorted(ORACLE)
+
+
+def test_cli_suites_are_the_verify_suites():
+    defined = [name.removeprefix("suite_") for name, fn in vars(verify).items()
+               if name.startswith("suite_") and inspect.isfunction(fn)]
+    assert cli.SUITES == tuple(defined)

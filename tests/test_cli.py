@@ -11,25 +11,23 @@ import pytest
 
 import quivernc
 from quivernc import (
-    absolute_leq,
     cluster_tilting_objects,
     coxeter_element,
     enumerate_support_tilting,
     is_c_sortable,
-    is_torsion_class,
     latt,
     parse_quiver,
     positive_roots,
     replab,
     tors,
     weyl,
-    weyl_group,
 )
 from quivernc import cli
 from quivernc.cli import _KINDS, _emit_object, main
 from quivernc.cluster import all_cc_indecs
+from quivernc.latt import absolute_leq, weyl_group
 from quivernc.quiver import coxeter_element_word
-from quivernc.replab import is_wide
+from quivernc.replab import is_torsion_class, is_wide
 
 A2 = "vertices 2\narrow 2 1"
 A3 = "vertices 3\narrow 2 1\narrow 2 3"
@@ -375,6 +373,19 @@ class TestVerify:
         assert isinstance(doc["wall_time"], float) and doc["wall_time"] >= 0
         digest = hashlib.sha256(parse_quiver(A2).to_json().encode()).hexdigest()
         assert doc["quiver_sha256"] == digest
+
+    def test_reports_before_a_later_suite_refuses(self):
+        """Each suite's report is out before the next suite runs: the
+        exceptional suite's rank cap does not discard the suites before it."""
+        env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quivernc", "verify", "--suite=all", "vertices 5"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env, timeout=60)
+        lines = proc.stdout.splitlines()
+        assert proc.returncode == 3
+        assert [line.split(" (")[0] for line in lines] == [
+            "bijections: pass", "lattice: pass", "stability: pass",
+            "error: exceptional-sequence enumeration capped at rank 4"]
 
 
 class TestErrors:

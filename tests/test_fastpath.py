@@ -10,8 +10,6 @@ import pytest
 
 from quivernc import (
     a_of,
-    absolute_leq,
-    absolute_length,
     cluster_tilting_objects,
     cover_reflections,
     coxeter_element,
@@ -20,19 +18,14 @@ from quivernc import (
     ext_projectives,
     fields,
     fixed_space,
-    gen,
-    indecomposable,
     inversion_set,
     is_c_sortable,
-    noncrossing_partitions,
     parse_quiver,
     positive_roots,
-    projective_rep,
     simple_reflection,
     sortable_of_torsion,
     split_projectives,
     torsion_closure,
-    weyl_group,
 )
 from quivernc.cli import (
     _KINDS,
@@ -46,6 +39,7 @@ from quivernc.cli import (
 )
 from quivernc.cluster import _orth_masks, all_cc_indecs, cc_ext_orthogonal, mutate
 from quivernc.fields import GF2, QQ
+from quivernc.latt import absolute_length, absolute_leq, noncrossing_partitions, weyl_group
 from quivernc.ncmap import cox_of_wide, nc_of_torsion, sorting_word_of_torsion, wide_of_nc
 from quivernc.quiver import (
     cartan_matrix,
@@ -59,7 +53,10 @@ from quivernc.replab import (
     ar_quiver_by_hom_basis,
     decompose,
     ext_dim,
+    gen,
     hom_dim,
+    indecomposable,
+    projective_rep,
     sub_representation,
     subrepresentation_subspaces,
 )

@@ -4,7 +4,8 @@ rank and RREF span test they replace in absolute order and `wide_of_nc`."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivernc import fields, parse_quiver, weyl_group
+from quivernc import fields, parse_quiver
+from quivernc.latt import weyl_group
 
 ENTRIES = st.integers(-10**6, 10**6)
 

@@ -2,18 +2,17 @@ import json
 
 import pytest
 
-from quivernc import (
+from quivernc import enumerate_torsion_classes, positive_roots
+from quivernc.latt import (
     FinitePoset,
+    _bound_tables,
     cambrian_poset,
-    enumerate_torsion_classes,
     lattice_analyze,
     noncrossing_partitions,
-    positive_roots,
     principal_torsion_classes,
     splitting_chain,
     torsion_join,
 )
-from quivernc.latt import _bound_tables
 from quivernc.replab import is_torsion_class
 
 

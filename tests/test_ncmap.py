@@ -4,8 +4,6 @@ import pytest
 
 from quivernc import (
     GroupElement,
-    absolute_length,
-    absolute_leq,
     braid_act,
     cc_rep,
     cc_shift,
@@ -19,7 +17,6 @@ from quivernc import (
     is_c_sortable,
     is_exceptional_sequence,
     nc_of_torsion,
-    noncrossing_partitions,
     positive_roots,
     reading_cl,
     reading_nc,
@@ -29,9 +26,9 @@ from quivernc import (
     sortable_of_torsion,
     torsion_of_sortable,
     upper_indecs,
-    weyl_group,
     word_to_element,
 )
+from quivernc.latt import absolute_length, absolute_leq, noncrossing_partitions, weyl_group
 from quivernc.ncmap import braid_orbit, initial_letters
 from quivernc.quiver import coxeter_element_word
 from quivernc.tors import a_of, wide_simples

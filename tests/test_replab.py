@@ -5,25 +5,29 @@ import pytest
 
 from quivernc import (
     OracleCapError,
-    Representation,
     ar_quiver,
-    decompose,
     euler_form,
-    ext_dim,
-    hom_basis,
-    indecomposable,
-    injective_rep,
     positive_roots,
-    projective_rep,
-    reflect,
-    simple_rep,
-    subrep_dimvectors,
     tau,
 )
 from quivernc.fields import GF2, GF3, QQ, rank, zeros
 from quivernc.quiver import ext_dim_roots, hom_dim_roots
 from quivernc import replab
-from quivernc.replab import direct_sum, gen, hom_dim
+from quivernc.replab import (
+    Representation,
+    decompose,
+    direct_sum,
+    ext_dim,
+    gen,
+    hom_basis,
+    hom_dim,
+    indecomposable,
+    injective_rep,
+    projective_rep,
+    reflect,
+    simple_rep,
+    subrep_dimvectors,
+)
 from quivernc.tors import enumerate_support_tilting
 from quivernc.weyl import ar_dot, ar_linear_order, projective_roots
 

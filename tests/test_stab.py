@@ -4,19 +4,21 @@ import pytest
 
 from quivernc import (
     enumerate_support_tilting,
-    gen,
-    indecomposable,
-    is_semistable,
     positive_roots,
-    semistable_indecs,
     split_projectives,
-    theta_of_support_tilting,
-    verify_semistable_theorem,
 )
 from quivernc.fields import GF2
 from quivernc.quiver import support
-from quivernc.replab import direct_sum, is_wide, simple_rep, subrep_dimvectors
-from quivernc.stab import default_coefficients, euler_row, theta_value
+from quivernc.replab import direct_sum, gen, indecomposable, is_wide, simple_rep, subrep_dimvectors
+from quivernc.stab import (
+    default_coefficients,
+    euler_row,
+    is_semistable,
+    semistable_indecs,
+    theta_of_support_tilting,
+    theta_value,
+    verify_semistable_theorem,
+)
 
 
 def quotient_side_semistable(q, theta, m):

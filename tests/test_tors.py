@@ -7,14 +7,10 @@ from quivernc import (
     enumerate_support_tilting,
     enumerate_torsion_classes,
     ext_projectives,
-    gen,
-    indecomposable,
     is_support_tilting,
-    is_torsion_class,
     positive_roots,
     split_projectives,
     torsion_free_complement,
-    torsion_subobject,
     wide_simples,
 )
 from quivernc.fields import GF2
@@ -22,11 +18,15 @@ from quivernc.quiver import ext_dim_roots, hom_dim_roots
 from quivernc.replab import (
     decompose,
     direct_sum,
+    gen,
     hom_basis,
+    indecomposable,
+    is_torsion_class,
     is_wide,
     simple_rep,
     sub_representation,
     subrepresentation_subspaces,
+    torsion_subobject,
 )
 
 
@@ -215,7 +215,7 @@ class TestWideSimples:
         assert wide_simples(a3, frozenset({(1, 1, 1)})) == ((1, 1, 1),)
 
     def test_simple_count_is_absolute_length(self, a3):
-        from quivernc import absolute_length
+        from quivernc.latt import absolute_length
         from quivernc.ncmap import cox_of_wide
 
         for t in enumerate_torsion_classes(a3):

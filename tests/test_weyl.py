@@ -2,22 +2,19 @@ import pytest
 
 from quivernc import (
     GroupElement,
-    absolute_length,
-    absolute_leq,
     cover_reflections,
     coxeter_element,
     fixed_space,
     inversion_set,
     is_c_sortable,
     length_S,
-    noncrossing_partitions,
     positive_roots,
     reflection,
     simple_reflection,
-    weyl_group,
     word_to_element,
 )
 from quivernc.cli import _word_str
+from quivernc.latt import absolute_length, absolute_leq, noncrossing_partitions, weyl_group
 from quivernc.verify import min_deletions_to_identity
 from quivernc.weyl import reduced_word
 
