@@ -15,7 +15,8 @@ of its own torsion class, or it is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap or
 type error, 4 internal error (an invariant check failed, such as a
-`FingerprintError` or the minimal-generator check: a bug, not bad input).
+`FingerprintError` or the minimal-generator check: a bug, not bad input),
+5 output closed early (a broken pipe, as in `quivernc ... | head -1`).
 
 Every verb but `verify` runs on the integer fast path.  `cmd_verify`
 imports the oracle module `verify` when it runs, so the other verbs never
@@ -52,7 +53,7 @@ from .weyl import (
     word_to_element,
 )
 
-USAGE_ERROR, CAP_ERROR, INTERNAL_ERROR = 2, 3, 4
+USAGE_ERROR, CAP_ERROR, INTERNAL_ERROR, OUTPUT_CLOSED = 2, 3, 4, 5
 
 # The `verify` suites, in run order.
 SUITES = ("bijections", "lattice", "stability", "exceptional", "reading")
@@ -400,7 +401,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         q = _load_quiver(args.quiver)
-        return COMMANDS[args.verb](q, args)
+        code = COMMANDS[args.verb](q, args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # As the Python docs advise for SIGPIPE: point stdout at devnull, so
+        # that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return OUTPUT_CLOSED
     except (NotFiniteTypeError, OracleCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR

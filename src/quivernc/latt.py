@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 from . import fields
 from .fields import GF2
 from .quiver import Quiver, positive_roots, require_finite_type
-from .replab import extension_root_closure, gen
+from .replab import DEFAULT_CAP, extension_root_closure, gen
 from .tors import IndecSet, enumerate_torsion_classes
 from .weyl import GroupElement, ar_linear_order, coxeter_element, simple_reflection
 
@@ -197,15 +197,18 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
     )
 
 
-def torsion_join(q: Quiver, t1: IndecSet, t2: IndecSet) -> IndecSet:
+def torsion_join(
+    q: Quiver, t1: IndecSet, t2: IndecSet, cap: int = DEFAULT_CAP
+) -> IndecSet:
     """Smallest torsion class containing both: iterate quotient closure and
-    adjunction of extension middle terms to a fixpoint."""
+    adjunction of extension middle terms, searched over GF(2) up to total
+    dimension `cap`, to a fixpoint."""
     current = frozenset(t1) | frozenset(t2)
     while True:
         bigger = set(gen(q, current, GF2))
         for a in sorted(current):
             for b in sorted(current):
-                bigger |= extension_root_closure(q, a, b)
+                bigger |= extension_root_closure(q, a, b, cap)
         if frozenset(bigger) == current:
             return current
         current = frozenset(bigger)

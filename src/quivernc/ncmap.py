@@ -1,6 +1,15 @@
 """The bridge maps: torsion classes to noncrossing partitions, sortable
 elements, Reading's nc/cl recursions, exceptional sequences with the braid
 action, the cover-reflection criterion and the fixed-space description.
+
+Reading's recursions and the cover-reflection criterion step on the vector
+y = w(2 rho), as `weyl.is_c_sortable` does: z_v = (e_v, y) < 0 marks s_v as
+a left descent, and s_v w sends 2 rho to y - z_v e_v. In a simply-laced root
+system (b, 2 rho) = 2 ht(b) for every root b, so z_v = (w^-1 e_v, 2 rho) is
+-2 exactly when w^-1 e_v is a negative simple root -e_u; then s_v w = w s_u
+and s_v is the cover reflection of w at the right descent u. The braid
+action reflects root vectors, s_y(x) = x - (y, x) y, and reads the
+exceptional condition from one Euler-form table per quiver.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from .quiver import (
     Vertex,
     cartan_matrix,
     coxeter_element_word,
+    euler_form,
     positive_roots,
     require_finite_type,
     simple_roots,
@@ -26,14 +36,12 @@ from .quiver import ext_dim_roots, hom_dim_roots
 from .tors import IndecSet, a_of, torsion_closure, wide_simples
 from .weyl import (
     GroupElement,
-    cover_reflections,
+    _simple_pairing,
+    _two_rho,
     fixed_space,
     inversion_set,
     is_c_sortable,
-    length_S,
-    reflection,
     reflection_product,
-    simple_reflection,
     sorting_word_of_inversion_set,
     word_to_element,
 )
@@ -99,21 +107,30 @@ def reading_nc(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> GroupE
     """
     if not is_c_sortable(q, w, c_word):
         raise ValueError("element is not sortable for the given word")
-    return _reading_nc(q, w, tuple(c_word))
+    return reflection_product(q, _reading_nc(q, w.apply(_two_rho(q)), tuple(c_word)))
 
 
-def _reading_nc(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> GroupElement:
-    if w.is_identity():
-        return w
+def _simple_step(q: Quiver, v: Vertex, x: tuple[int, ...]) -> tuple[int, ...]:
+    """s_v(x) = x - (e_v, x) e_v."""
+    out = list(x)
+    out[v - 1] -= _simple_pairing(q, v, x)
+    return tuple(out)
+
+
+def _reading_nc(q: Quiver, y: tuple[int, ...], c_word: tuple[Vertex, ...]) -> tuple[Root, ...]:
+    """Roots r_1..r_k with s_{r_1}...s_{r_k} the image of the w with
+    w(2 rho) = y: multiplying by s_v on the right appends e_v, and
+    conjugating by s_v sends each s_r to s_{s_v(r)}."""
+    if y == _two_rho(q):
+        return ()
     v = c_word[0]
-    s = simple_reflection(q, v)
-    if length_S(q, s * w) > length_S(q, w):
-        return _reading_nc(q, w, c_word[1:])
-    scs = c_word[1:] + (v,)
-    inner = _reading_nc(q, s * w, scs)
-    if s in cover_reflections(q, w):
-        return inner * s
-    return s * inner * s
+    zv = _simple_pairing(q, v, y)
+    if zv >= 0:
+        return _reading_nc(q, y, c_word[1:])
+    inner = _reading_nc(q, _simple_step(q, v, y), c_word[1:] + (v,))
+    if zv == -2:  # s_v is a cover reflection of w
+        return inner + (simple_roots(q)[v - 1],)
+    return tuple(_simple_step(q, v, r) for r in inner)
 
 
 def reading_cl(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> IndecSet:
@@ -124,20 +141,19 @@ def reading_cl(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> IndecS
     """
     if not is_c_sortable(q, w, c_word):
         raise ValueError("element is not sortable for the given word")
-    return _reading_cl(q, w, tuple(c_word))
+    return _reading_cl(q, w.apply(_two_rho(q)), tuple(c_word))
 
 
-def _reading_cl(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> IndecSet:
-    if w.is_identity():
+def _reading_cl(q: Quiver, y: tuple[int, ...], c_word: tuple[Vertex, ...]) -> IndecSet:
+    if y == _two_rho(q):
         return frozenset()
     v = c_word[0]
-    s = simple_reflection(q, v)
-    if length_S(q, s * w) > length_S(q, w):
-        return _reading_cl(q, w, c_word[1:])
-    inner = _reading_cl(q, s * w, c_word[1:] + (v,))
+    if _simple_pairing(q, v, y) >= 0:
+        return _reading_cl(q, y, c_word[1:])
+    inner = _reading_cl(q, _simple_step(q, v, y), c_word[1:] + (v,))
     out = set()
     for root in inner:
-        image = s.apply(root)
+        image = _simple_step(q, v, root)
         if any(x < 0 for x in image):
             raise RuntimeError(f"reflection step produced the negative root {image}")
         out.add(image)
@@ -146,19 +162,26 @@ def _reading_cl(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> Indec
     return frozenset(out)
 
 
-def is_exceptional_sequence(q: Quiver, seq: tuple[Root, ...]) -> bool:
-    """No backward Hom or Ext: for i < j, Hom(X_j, X_i) = Ext(X_j, X_i) = 0."""
-    require_finite_type(q)
+@lru_cache(maxsize=None)
+def _euler_table(q: Quiver) -> dict[tuple[Root, Root], int]:
+    """<a, b> for every pair of positive roots."""
     roots = positive_roots(q)
-    if any(r not in roots for r in seq):
+    return {(a, b): euler_form(q, a, b) for a in roots for b in roots}
+
+
+def is_exceptional_sequence(q: Quiver, seq: tuple[Root, ...]) -> bool:
+    """No backward Hom or Ext: for i < j, Hom(X_j, X_i) = Ext(X_j, X_i) = 0,
+    that is <X_j, X_i> = 0, since at most one of the two is nonzero between
+    indecomposables of a Dynkin quiver (see `quiver.hom_dim_roots`)."""
+    require_finite_type(q)
+    euler = _euler_table(q)
+    if any((r, r) not in euler for r in seq):
         return False
     if len(set(seq)) != len(seq):
         return False
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if hom_dim_roots(q, seq[j], seq[i]) or ext_dim_roots(q, seq[j], seq[i]):
-                return False
-    return True
+    return all(
+        euler[seq[j], seq[i]] == 0 for i in range(len(seq)) for j in range(i + 1, len(seq))
+    )
 
 
 def _positive(root: tuple[int, ...]) -> Root:
@@ -169,6 +192,18 @@ def _positive(root: tuple[int, ...]) -> Root:
     raise ValueError(f"{root} is neither positive nor negative")
 
 
+@lru_cache(maxsize=None)
+def _pair_product(q: Quiver, x: Root, y: Root) -> GroupElement:
+    """s_x s_y, built once per quiver and pair of roots."""
+    return reflection_product(q, (x, y))
+
+
+def _reflect(q: Quiver, r: Root, x: Root) -> tuple[int, ...]:
+    """s_r(x) = x - (r, x) r."""
+    rx = sum(c * _simple_pairing(q, v, x) for v, c in enumerate(r, 1) if c)
+    return tuple(a - rx * c for a, c in zip(x, r))
+
+
 def braid_act(
     q: Quiver, i: int, seq: tuple[Root, ...], direction: str = "+"
 ) -> tuple[Root, ...]:
@@ -176,21 +211,22 @@ def braid_act(
 
     Forward: (..., X_i, X_{i+1}, ...) -> (..., X_{i+1}, R X_i, ...) with
     dim R X_i the positive representative of s_{X_{i+1}}(dim X_i); the
-    inverse uses the left mutation L.
+    inverse uses the left mutation L. The reflection product is checked on
+    the swapped pair alone: P A S = P A' S exactly when A = A'.
     """
     if not 1 <= i <= len(seq) - 1:
         raise ValueError(f"position {i} out of range for length {len(seq)}")
     x, y = seq[i - 1], seq[i]
     if direction == "+":
-        new_pair = (y, _positive(reflection(q, y).apply(x)))
+        new_pair = (y, _positive(_reflect(q, y, x)))
     elif direction == "-":
-        new_pair = (_positive(reflection(q, x).apply(y)), x)
+        new_pair = (_positive(_reflect(q, x, y)), x)
     else:
         raise ValueError("direction must be '+' or '-'")
     out = seq[: i - 1] + new_pair + seq[i + 1 :]
     if not is_exceptional_sequence(q, out):
         raise RuntimeError("braid action left the set of exceptional sequences")
-    if reflection_product(q, out) != reflection_product(q, seq):
+    if _pair_product(q, *new_pair) != _pair_product(q, x, y):
         raise RuntimeError("braid action changed the reflection product")
     return out
 
@@ -304,17 +340,16 @@ def cover_criterion_check(
 ) -> CoverCriterionReport:
     """For each initial s with l_S(s w_T) < l_S(w_T): s is a cover
     reflection of w_T exactly when the simple at s lies in a(T)."""
-    w = sortable_of_torsion(q, t)
+    y = sortable_of_torsion(q, t).apply(_two_rho(q))
     wide = a_of(q, t)
-    covers = cover_reflections(q, w)
     applicable, skipped, failures = [], [], []
     for v in initial_letters(q, c_word):
-        s = simple_reflection(q, v)
-        if length_S(q, s * w) >= length_S(q, w):
+        zv = _simple_pairing(q, v, y)
+        if zv >= 0:
             skipped.append(v)
             continue
         applicable.append(v)
-        if (s in covers) != (simple_roots(q)[v - 1] in wide):
+        if (zv == -2) != (simple_roots(q)[v - 1] in wide):  # -2: a cover reflection
             failures.append(v)
     return CoverCriterionReport(
         torsion_class=tuple(sorted(t)),

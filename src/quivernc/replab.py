@@ -491,8 +491,10 @@ def subrepresentation_subspaces(
     return out
 
 
+@lru_cache(maxsize=None)
 def subrep_dimvectors(m: Representation, cap: int = DEFAULT_CAP) -> frozenset[DimVector]:
-    """Dimension vectors of all subrepresentations, including 0 and dim M."""
+    """Dimension vectors of all subrepresentations, including 0 and dim M;
+    enumerated once per representation and cap."""
     return frozenset(
         tuple(len(s) for s in choice)
         for choice in subrepresentation_subspaces(m, cap)

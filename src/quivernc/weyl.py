@@ -10,9 +10,13 @@ matrix) mark the left descents of w, the v with z_v < 0, and s_v w has the
 pairings z - z_v B e_v, so stripping a letter costs O(n), not a matrix
 product. An inversion set N fixes the vector, w(2 rho) = 2 rho - 2 sum(N),
 so the c-sorting word of the element with inversion set N needs no matrix
-at all. A product of reflections s_r = 1 - r (B r)^T is built by rank-one
-row updates. `GroupElement.inverse` and `fixed_space` remain for `verify`
-and the tests; the walk over W and absolute order live in `latt`.
+at all. Reading's induction for c-sortability steps the same way, on
+y = w(2 rho): z_v = (e_v, y), s_v w sends 2 rho to y - z_v e_v, and w lies
+in the parabolic subgroup on J exactly when 2 rho - y, twice the sum of
+its inversions, is supported on J. A product of reflections
+s_r = 1 - r (B r)^T is built by rank-one row updates. `GroupElement.inverse`
+and `fixed_space` remain for `verify` and the tests; the walk over W and
+absolute order live in `latt`.
 
 The AR quiver is knitted from the projective roots, whose entries count
 paths, with the Coxeter transformation; its construction from explicit Hom
@@ -236,11 +240,6 @@ def fixed_space(q: Quiver, w: GroupElement) -> tuple[tuple[Fraction, ...], ...]:
     return fields.row_space(fields.QQ, basis)
 
 
-def _left_descent(q: Quiver, w: GroupElement, v: Vertex) -> bool:
-    """l_S(s_v w) < l_S(w), i.e. e_v lies in the inversion set of w."""
-    return _rho_pairings(q, w)[v - 1] < 0
-
-
 def _validate_word(q: Quiver, c_word: tuple[Vertex, ...]) -> None:
     if len(set(c_word)) != len(c_word) or any(not 1 <= v <= q.n for v in c_word):
         raise ValueError(f"invalid Coxeter word {c_word!r}")
@@ -252,22 +251,32 @@ def is_c_sortable(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> boo
     With s the first letter of the word: if l_S(sw) > l_S(w) then w must lie
     in the reflection subgroup generated by the other simple reflections and
     be sc-sortable; if l_S(sw) < l_S(w) then sw must be scs-sortable.
+    Stepped on y = w(2 rho), as the module docstring describes.
     """
     require_finite_type(q)
     _validate_word(q, c_word)
-    return _sortable(q, w, tuple(c_word))
+    two_rho, c_word = _two_rho(q), tuple(c_word)
+    y = list(w.apply(two_rho))  # stepped in place from w(2 rho)
+    while c_word:
+        v = c_word[0]
+        zv = _simple_pairing(q, v, y)
+        if zv < 0:
+            y[v - 1] -= zv  # y becomes (s_v w)(2 rho)
+            c_word = c_word[1:] + (v,)
+            continue
+        rest = c_word[1:]
+        if any(y[u - 1] != two_rho[u - 1] for u in q.vertices if u not in rest):
+            # w is outside the parabolic subgroup on the other letters; the
+            # letters left could not reach e either, so this only ends early
+            return False
+        c_word = rest
+    return tuple(y) == two_rho
 
 
-def _sortable(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> bool:
-    if not c_word:
-        return w.is_identity()
-    v = c_word[0]
-    if _left_descent(q, w, v):
-        return _sortable(q, simple_reflection(q, v) * w, c_word[1:] + (v,))
-    rest = set(c_word[1:])
-    if any(not support(alpha) <= rest for alpha in inversion_set(q, w)):
-        return False  # w is outside the parabolic subgroup on the other letters
-    return _sortable(q, w, c_word[1:])
+def _simple_pairing(q: Quiver, v: Vertex, y) -> int:
+    """(e_v, y), negative for y = w(2 rho) exactly when s_v is a left
+    descent of w."""
+    return sum(b * x for b, x in zip(cartan_matrix(q)[v - 1], y))
 
 
 def cover_reflections(q: Quiver, w: GroupElement) -> frozenset[GroupElement]:

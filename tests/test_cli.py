@@ -441,6 +441,29 @@ def test_python_m_runs_the_cli():
         "[0,0,1]", "[0,1,0]", "[0,1,1]", "[1,0,0]", "[1,1,0]", "[1,1,1]"]
 
 
+E6 = "vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6"
+
+
+@pytest.mark.parametrize("argv,lines_read", [
+    (["roots", A3], 0),
+    (["verify", "--suite=exceptional", A3], 0),
+    (["enumerate", "--what=torsion", E6], 1),  # 155 kB, more than a pipe holds
+], ids=["closed-at-once", "verify", "head-1"])
+def test_closed_output_exits_five_without_traceback(argv, lines_read):
+    """`quivernc ... | head -1`: the reader goes away, and the CLI stops with
+    exit code 5, not with a traceback or the counterexample code 1."""
+    env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "quivernc", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.OUTPUT_CLOSED == 5
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["roots", str(Path(__file__).parent)],
     ["map", A3, "--from", "sortable", "--to", "torsion", "--object", '{"word": [0]}'],

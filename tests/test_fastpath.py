@@ -1,7 +1,9 @@
 """Integer fast paths against their representation-theoretic,
 matrix-product and pairwise-loop references, on every orientation of A3, A4
 and D4 (the Weyl checks also on a disconnected quiver, the AR quiver and
-`wide_of_nc` also on D5 and E6)."""
+`wide_of_nc` also on D5 and E6).  The oracles that step on root vectors
+(sortability, Reading's recursions, the cover criterion, the braid action)
+are checked against their matrix-product versions the same way."""
 
 import itertools
 from argparse import Namespace
@@ -40,7 +42,22 @@ from quivernc.cli import (
 from quivernc.cluster import _orth_masks, all_cc_indecs, cc_ext_orthogonal, mutate
 from quivernc.fields import GF2, QQ
 from quivernc.latt import absolute_length, absolute_leq, noncrossing_partitions, weyl_group
-from quivernc.ncmap import cox_of_wide, nc_of_torsion, sorting_word_of_torsion, wide_of_nc
+from quivernc import ncmap, weyl
+from quivernc.ncmap import (
+    CoverCriterionReport,
+    braid_act,
+    braid_orbit,
+    complete_exceptional_sequences,
+    cover_criterion_check,
+    cox_of_wide,
+    initial_letters,
+    is_exceptional_sequence,
+    nc_of_torsion,
+    reading_cl,
+    reading_nc,
+    sorting_word_of_torsion,
+    wide_of_nc,
+)
 from quivernc.quiver import (
     cartan_matrix,
     coxeter_element_word,
@@ -63,12 +80,15 @@ from quivernc.replab import (
 from quivernc.tors import _ext_masks, _hom_masks, is_support_tilting, wide_simples
 from quivernc.weyl import (
     GroupElement,
-    _left_descent,
+    _simple_pairing,
+    _two_rho,
     ar_quiver,
     c_sorting_word,
+    length_S,
     projective_root,
     reduced_word,
     reflection,
+    reflection_product,
     reflection_root,
     word_to_element,
 )
@@ -241,6 +261,12 @@ def test_map_sends_each_kind_of_a_torsion_class_to_every_kind(q, capsys):
             assert capsys.readouterr().out == emitted[dst] + "\n", (src, dst)
 
 
+def left_descent(q, w, v):
+    """s_v is a left descent of w: (e_v, w(2 rho)) < 0, the test that
+    sortability and Reading's recursions step on."""
+    return _simple_pairing(q, v, w.apply(_two_rho(q))) < 0
+
+
 def inversion_set_by_inverse(q, w):
     """N(w) from its definition: the positive roots that w^{-1} makes negative."""
     winv = w.inverse()
@@ -272,7 +298,7 @@ def test_weyl_fast_paths_match_inverse_definitions(q):
     for w, winv in inv.items():
         n_w = inversion_set_by_inverse(q, w)
         assert inversion_set(q, w) == n_w
-        assert {v for v in q.vertices if _left_descent(q, w, v)} == {
+        assert {v for v in q.vertices if left_descent(q, w, v)} == {
             v for v in q.vertices if simples[v - 1] in n_w
         }
         assert absolute_length(q, w) == l_t[w]
@@ -336,7 +362,7 @@ def reduced_word_by_products(q, w):
     """The canonical reduced word by one matrix product per letter."""
     word, cur = [], w
     while not cur.is_identity():
-        v = next(v for v in q.vertices if _left_descent(q, cur, v))
+        v = next(v for v in q.vertices if left_descent(q, cur, v))
         word.append(v)
         cur = simple_reflection(q, v) * cur
     return tuple(word)
@@ -346,7 +372,7 @@ def c_sorting_word_by_products(q, w, c_word):
     out, cur = [], w
     while not cur.is_identity():
         for v in c_word:
-            if _left_descent(q, cur, v):
+            if left_descent(q, cur, v):
                 out.append(v)
                 cur = simple_reflection(q, v) * cur
     return tuple(out)
@@ -509,3 +535,173 @@ def test_mutate_matches_pairwise_search(q):
     for t in cluster_tilting_objects(q):
         for x in t:
             assert mutate(q, t, x) == mutate_pairwise(q, t, x), (t, x)
+
+
+def is_c_sortable_by_products(q, w, c_word):
+    """Reading's induction with one matrix product per descent and the
+    whole inversion set at each parabolic test."""
+    if not c_word:
+        return w.is_identity()
+    v = c_word[0]
+    if left_descent(q, w, v):
+        return is_c_sortable_by_products(q, simple_reflection(q, v) * w, c_word[1:] + (v,))
+    rest = set(c_word[1:])
+    if any(not support(alpha) <= rest for alpha in inversion_set(q, w)):
+        return False
+    return is_c_sortable_by_products(q, w, c_word[1:])
+
+
+def reading_nc_by_products(q, w, c_word):
+    """Reading's nc recursion on matrices: descents by two lengths, covers
+    from the reflection matrices of `cover_reflections`."""
+    if w.is_identity():
+        return w
+    v = c_word[0]
+    s = simple_reflection(q, v)
+    if length_S(q, s * w) > length_S(q, w):
+        return reading_nc_by_products(q, w, c_word[1:])
+    inner = reading_nc_by_products(q, s * w, c_word[1:] + (v,))
+    if s in cover_reflections(q, w):
+        return inner * s
+    return s * inner * s
+
+
+def reading_cl_by_products(q, w, c_word):
+    if w.is_identity():
+        return frozenset()
+    v = c_word[0]
+    s = simple_reflection(q, v)
+    if length_S(q, s * w) > length_S(q, w):
+        return reading_cl_by_products(q, w, c_word[1:])
+    inner = reading_cl_by_products(q, s * w, c_word[1:] + (v,))
+    out = {s.apply(root) for root in inner}
+    assert all(x >= 0 for root in out for x in root)
+    if not any(root[v - 1] != 0 for root in inner):
+        out.add(simple_roots(q)[v - 1])
+    return frozenset(out)
+
+
+def cover_criterion_by_products(q, t, c_word):
+    w = sortable_of_torsion(q, t)
+    wide = a_of(q, t)
+    covers = cover_reflections(q, w)
+    applicable, skipped, failures = [], [], []
+    for v in initial_letters(q, c_word):
+        s = simple_reflection(q, v)
+        if length_S(q, s * w) >= length_S(q, w):
+            skipped.append(v)
+            continue
+        applicable.append(v)
+        if (s in covers) != (simple_roots(q)[v - 1] in wide):
+            failures.append(v)
+    return CoverCriterionReport(
+        torsion_class=tuple(sorted(t)),
+        applicable=tuple(applicable),
+        not_applicable=tuple(skipped),
+        failures=tuple(failures),
+        passed=not failures,
+    )
+
+
+def is_exceptional_by_hom_ext(q, seq):
+    roots = positive_roots(q)
+    if any(r not in roots for r in seq) or len(set(seq)) != len(seq):
+        return False
+    return all(
+        hom_dim_roots(q, seq[j], seq[i]) == 0 == ext_dim_roots(q, seq[j], seq[i])
+        for i in range(len(seq)) for j in range(i + 1, len(seq))
+    )
+
+
+def braid_act_by_matrices(q, i, seq, direction):
+    """The braid generator with reflection matrices, and the product of the
+    whole sequence compared before and after."""
+    x, y = seq[i - 1], seq[i]
+    if direction == "+":
+        new_pair = (y, ncmap._positive(reflection(q, y).apply(x)))
+    else:
+        new_pair = (ncmap._positive(reflection(q, x).apply(y)), x)
+    out = seq[: i - 1] + new_pair + seq[i + 1 :]
+    assert is_exceptional_by_hom_ext(q, out)
+    assert reflection_product(q, out) == reflection_product(q, seq)
+    return out
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_vector_sortability_matches_matrix_induction(q):
+    cword = coxeter_element_word(q)
+    for w in weyl_group(q):
+        assert is_c_sortable(q, w, cword) == is_c_sortable_by_products(q, w, cword), w.mat
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_reading_recursions_match_matrix_products(q):
+    cword = coxeter_element_word(q)
+    for w in weyl_group(q):
+        if is_c_sortable(q, w, cword):
+            assert reading_nc(q, w, cword) == reading_nc_by_products(q, w, cword), w.mat
+            assert reading_cl(q, w, cword) == reading_cl_by_products(q, w, cword), w.mat
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_cover_criterion_matches_matrix_products(q):
+    cword = coxeter_element_word(q)
+    for t in enumerate_torsion_classes(q):
+        assert cover_criterion_check(q, t, cword) == cover_criterion_by_products(q, t, cword)
+
+
+@pytest.mark.parametrize("q", ONE_PER_GRAPH)
+def test_pairing_minus_two_marks_the_cover_reflections(q):
+    """(e_v, w(2 rho)) = -2 exactly when s_v is a cover reflection of w, on
+    all of W: the rule the vector recursions use."""
+    for w in weyl_group(q):
+        y = w.apply(_two_rho(q))
+        covers = cover_reflections(q, w)
+        for v in q.vertices:
+            assert (_simple_pairing(q, v, y) == -2) == (simple_reflection(q, v) in covers)
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_braid_act_matches_matrix_reference(q):
+    for seq in complete_exceptional_sequences(q):
+        for i in range(1, q.n):
+            for d in ("+", "-"):
+                assert braid_act(q, i, seq, d) == braid_act_by_matrices(q, i, seq, d)
+
+
+@pytest.mark.parametrize("q", QUIVERS)
+def test_exceptional_test_matches_hom_and_ext(q):
+    """Every sequence of positive roots of length at most n, repeats
+    included, and a few that are not positive roots."""
+    roots = positive_roots(q)
+    for k in range(q.n + 1):
+        for seq in itertools.product(roots, repeat=k):
+            assert is_exceptional_sequence(q, seq) == is_exceptional_by_hom_ext(q, seq), seq
+    for seq in ((tuple(-x for x in roots[0]),), ((2,) * q.n, roots[0]), (roots[0], (0,) * q.n)):
+        assert not is_exceptional_sequence(q, seq)
+
+
+@pytest.mark.parametrize("q", [p for p in QUIVERS if p.id.startswith(("a3-12.23", "d4-12.23.24"))])
+def test_vector_oracles_multiply_no_matrices(q, monkeypatch):
+    """Sortability, Reading's recursions, the cover criterion and the braid
+    orbit run with matrix products, S-lengths and cover-reflection sets
+    refused."""
+    cword = coxeter_element_word(q)
+    elements, seqs = weyl_group(q), complete_exceptional_sequences(q)
+    classes = enumerate_torsion_classes(q)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vector oracle multiplied matrices")
+
+    monkeypatch.setattr(GroupElement, "__mul__", refuse)
+    for module in (weyl, ncmap):
+        for name in ("length_S", "cover_reflections"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    sortables = [w for w in elements if is_c_sortable(q, w, cword)]
+    assert len(sortables) == len(classes)
+    for w in sortables:
+        reading_nc(q, w, cword)
+        reading_cl(q, w, cword)
+    assert all(cover_criterion_check(q, t, cword).passed for t in classes)
+    assert braid_orbit(q, seqs[0]) == frozenset(seqs)

@@ -391,3 +391,24 @@ def test_gen_does_not_depend_on_the_field(fix, request):
     q = request.getfixturevalue(fix)
     for s in enumerate_support_tilting(q):
         assert gen(q, s, GF2) == gen(q, s, QQ), sorted(s)
+
+
+@pytest.mark.parametrize("fix", ["a3", "d4"])
+def test_subrep_dimvector_cache_keeps_caps_and_fields_apart(fix, request):
+    """One entry per representation and cap: the same root over GF(2) and
+    GF(3), or under two caps, never shares an entry, every entry equals the
+    uncached enumeration, and a refusal under a small cap is not cached."""
+    q = request.getfixturevalue(fix)
+    uncached = subrep_dimvectors.__wrapped__
+    roots = positive_roots(q)
+    top = max(roots, key=sum)
+    subrep_dimvectors.cache_clear()
+    with pytest.raises(OracleCapError):
+        subrep_dimvectors(indecomposable(q, top, GF2), sum(top) - 1)
+    for cap in (sum(top), 12):
+        for field in (GF2, GF3):
+            for r in roots:
+                m = indecomposable(q, r, field)
+                assert subrep_dimvectors(m, cap) == uncached(m, cap), (cap, field, r)
+    # a simple root's representation has the same entries over both fields
+    assert subrep_dimvectors.cache_info().currsize == 2 * 2 * len(roots)

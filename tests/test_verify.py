@@ -1,0 +1,81 @@
+"""The `verify` suites: how many checks each one runs, that `--cap` reaches
+every GF(2) search, that a check's message is built only when it fails, and
+that a planted fault in a rewired law makes its suite exit 1."""
+
+import re
+
+import pytest
+
+from quivernc import ncmap, parse_quiver, tors, verify
+from quivernc.cli import main
+
+A2 = "vertices 2\narrow 2 1"
+A3 = "vertices 3\narrow 2 1\narrow 2 3"
+A4 = "vertices 4\narrow 1 2\narrow 2 3\narrow 3 4"
+D4 = "vertices 4\narrow 2 1\narrow 2 3\narrow 2 4"
+
+# Instances per suite, as the suites print them: a cheaper check must keep
+# the same laws and the same number of checks.
+INSTANCES = {
+    "a3": (A3, {"bijections": 289, "lattice": 796, "stability": 70, "exceptional": 20,
+                "reading": 254}),
+    "a4": (A4, {"bijections": 799, "lattice": 16, "stability": 168, "exceptional": 129,
+                "reading": 1934}),
+    "d4": (D4, {"bijections": 951, "lattice": 18, "stability": 200, "exceptional": 166,
+                "reading": 2702}),
+}
+
+
+@pytest.mark.parametrize("text,counts", INSTANCES.values(), ids=INSTANCES)
+def test_every_suite_runs_the_same_number_of_checks(capsys, text, counts):
+    code = main(["verify", "--suite=all", text])
+    out = capsys.readouterr().out
+    assert code == 0
+    found = re.findall(r"^(\w+): pass \((\d+) instances, 0 failures", out, re.M)
+    assert {name: int(n) for name, n in found} == counts
+
+
+@pytest.mark.parametrize("suite", ["bijections", "lattice"])
+def test_cap_bounds_every_gf2_search(capsys, suite):
+    """A3's extension searches reach total dimension 6; the lattice suite
+    runs them in its closure joins."""
+    code = main(["verify", f"--suite={suite}", "--cap", "5", A3])
+    assert code == 3
+    assert "exceeds the cap 5" in capsys.readouterr().err
+
+
+def test_check_builds_the_message_only_on_failure():
+    rep = verify.VerifyReport("x", parse_quiver(A2), 0, 12)
+
+    def never():
+        raise AssertionError("message built for a passing check")
+
+    rep.check(True, never)
+    rep.check(False, lambda: "built")
+    rep.check(False, "plain")
+    assert rep.instances == 3 and rep.failures == ["built", "plain"]
+
+
+@pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
+def test_swapped_nc_images_fail_reading(capsys, monkeypatch, text):
+    first, second = tors.enumerate_torsion_classes(parse_quiver(text))[:2]
+    swap = {first: second, second: first}
+    nc_of_torsion = ncmap.nc_of_torsion
+    monkeypatch.setattr(ncmap, "nc_of_torsion", lambda q, t: nc_of_torsion(q, swap.get(t, t)))
+    code = main(["verify", "--suite=reading", text])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("reading: FAIL") and out.count("nc coincidence fails") == 2
+
+
+@pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
+def test_reversed_reflection_product_fails_exceptional(capsys, monkeypatch, text):
+    """The fault sits where the suite multiplies. Reversing every product at
+    once, the Coxeter element's included, is the anti-automorphism
+    w -> w^-1 of W, under which the law still holds."""
+    product = verify.reflection_product
+    monkeypatch.setattr(verify, "reflection_product", lambda q, roots: product(q, roots[::-1]))
+    code = main(["verify", "--suite=exceptional", text])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("exceptional: FAIL") and "reflection product != cox" in out
