@@ -212,45 +212,62 @@ def _emit_object(q: Quiver, kind: str, obj) -> str:
     raise ValueError(f"unknown object kind {kind!r}")
 
 
-# kind: (name, object -> its torsion class, torsion class -> object), in
-# the column order of `table`.  The lambdas look each map up at call time,
-# so a patched or traced library function is the one that runs.
+# kind: (name, object -> its torsion class, row -> object), in the column
+# order of `table`.  A row holds the objects of one torsion class, and each
+# map reads the ones it starts from out of the row, so a `table` row or a
+# `map` query computes the Ext-projectives and a(T) once.  The lambdas look
+# each map up at call time, so a patched or traced library function is the
+# one that runs.
 _KINDS = {
     "cluster": ("a cluster tilting object",
                 lambda q, x: clus.gen_of(q, x),
-                lambda q, t: clus.complete_support_tilting(q, tors.ext_projectives(q, t))),
+                lambda q, row: clus.complete_support_tilting(q, row["support"])),
     "support": ("a support tilting object",
                 lambda q, x: tors.torsion_closure(q, x),
-                lambda q, t: tors.ext_projectives(q, t)),
+                lambda q, row: tors.ext_projectives(q, row["torsion"])),
     "torsion": ("a torsion class",
                 lambda q, x: tors.torsion_closure(q, x),
-                lambda q, t: t),
+                lambda q, row: row["torsion"]),
     "wide": ("a wide subcategory",
              lambda q, x: tors.torsion_closure(q, x),
-             lambda q, t: tors.a_of(q, t)),
+             lambda q, row: tors.a_of(q, row["torsion"], row["support"])),
     "nc": ("a noncrossing partition",
            lambda q, w: tors.torsion_closure(q, ncmap.wide_of_nc(q, w)),
-           lambda q, t: ncmap.nc_of_torsion(q, t)),
+           lambda q, row: ncmap.cox_of_wide(q, row["wide"])),
     "sortable": ("a sortable element",
                  lambda q, w: tors.torsion_closure(q, inversion_set(q, w)),
-                 lambda q, t: ncmap.sortable_of_torsion(q, t)),
+                 lambda q, row: ncmap.sortable_of_torsion(q, row["torsion"])),
 }
 
 
-def _torsion_of(q: Quiver, kind: str, obj):
-    """The torsion class of obj, checked by the round trip: each of_torsion
-    is a bijection from the torsion classes onto its kind, inverted there by
-    to_torsion, so obj is of its kind exactly when it is its class's image."""
-    name, to_torsion, of_torsion = _KINDS[kind]
-    t = to_torsion(q, obj)
-    if of_torsion(q, t) != obj:
+class _Row(dict):
+    """The objects of one torsion class by kind, each made by its `_KINDS`
+    map the first time it is looked up."""
+
+    def __init__(self, q: Quiver, t: frozenset):
+        super().__init__(torsion=t)
+        self.q = q
+
+    def __missing__(self, kind: str):
+        obj = self[kind] = _KINDS[kind][2](self.q, self)
+        return obj
+
+
+def _row_of(q: Quiver, kind: str, obj) -> _Row:
+    """The row of obj's torsion class, checked by the round trip: each
+    `_KINDS` map from a row is a bijection from the torsion classes onto its
+    kind, inverted there by to_torsion, so obj is of its kind exactly when
+    it is its class's image."""
+    name, to_torsion, _ = _KINDS[kind]
+    row = _Row(q, to_torsion(q, obj))
+    if row[kind] != obj:
         raise ValueError(f"input is not {name} of this quiver")
-    return t
+    return row
 
 
 def cmd_map(q: Quiver, args) -> int:
-    t = _torsion_of(q, args.src, _parse_object(q, args.src, args.object))
-    print(_emit_object(q, args.dst, _KINDS[args.dst][2](q, t)))
+    row = _row_of(q, args.src, _parse_object(q, args.src, args.object))
+    print(_emit_object(q, args.dst, row[args.dst]))
     return 0
 
 
@@ -274,10 +291,10 @@ def cmd_table(q: Quiver, args) -> int:
             for x in sorted(t, key=clus.CCIndec.sort_key)
         )
 
-    rows = [
-        tuple(of_torsion(q, t) for _, _, of_torsion in _KINDS.values())
-        for t in tors.enumerate_torsion_classes(q)
-    ]
+    rows = []
+    for t in tors.enumerate_torsion_classes(q):
+        row = _Row(q, t)
+        rows.append(tuple(row[kind] for kind in _KINDS))
     if args.format == "json":
         print(
             _json(

@@ -7,25 +7,42 @@ statements inside rep Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .quiver import Quiver, Root, Vertex, positive_roots, require_finite_type, support
+from .quiver import Quiver, Root, Vertex, _Frozen, positive_roots, require_finite_type
 from .quiver import ext_dim_roots
-from .tors import IndecSet, _ext_free_masks, compatible_sets, is_support_tilting, torsion_closure
+from .tors import (
+    IndecSet,
+    _ext_free_masks,
+    _support,
+    compatible_sets,
+    is_support_tilting,
+    torsion_closure,
+)
 
 
-@dataclass(frozen=True)
-class CCIndec:
+class CCIndec(_Frozen):
     """Either an indecomposable representation (root) or a shifted
-    projective P_vertex[1]."""
+    projective P_vertex[1]; an immutable value."""
 
-    root: Root | None = None
-    shift: Vertex | None = None
+    __slots__ = ("root", "shift")
 
-    def __post_init__(self):
-        if (self.root is None) == (self.shift is None):
+    def __init__(self, root: Root | None = None, shift: Vertex | None = None):
+        if (root is None) == (shift is None):
             raise ValueError("exactly one of root / shift must be set")
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "shift", shift)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.root == other.root and self.shift == other.shift
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.shift))
+
+    def __reduce__(self):
+        return type(self), (self.root, self.shift)
 
     @property
     def is_shift(self) -> bool:
@@ -116,11 +133,9 @@ def complete_support_tilting(q: Quiver, c: IndecSet) -> ClusterTilting:
     """Add the shifted projectives of the vertices outside the support."""
     if not is_support_tilting(q, c):
         raise ValueError("input is not a support tilting object")
-    supp: set[Vertex] = set()
-    for r in c:
-        supp |= support(r)
+    supp = _support(q, c)
     return frozenset(
-        {cc_rep(r) for r in c} | {cc_shift(v) for v in q.vertices if v not in supp}
+        {cc_rep(r) for r in c} | {cc_shift(v) for v in q.vertices if not supp >> (v - 1) & 1}
     )
 
 

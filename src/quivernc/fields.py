@@ -4,7 +4,8 @@ No floating point: rational scalars are `fractions.Fraction`, finite-field
 scalars are ints reduced mod p, and `int_echelon` works on integer
 matrices directly.  Matrices are rows of scalars; functions accept any
 sequence-of-sequences and return lists (or tuples where the result is
-meant to be stored in a frozen dataclass or cache).
+meant to be stored in an immutable value, such as a `GroupElement`, or a
+cache).
 """
 
 from __future__ import annotations

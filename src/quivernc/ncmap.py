@@ -14,9 +14,9 @@ exceptional condition from one Euler-form table per quiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import fields
 from .cluster import CCIndec, ClusterTilting, gen_of, mutate
@@ -290,8 +290,7 @@ def _perp_intersection(q: Quiver, roots: list[Root]) -> tuple[tuple[Fraction, ..
     return fields.row_space(fields.QQ, basis)
 
 
-@dataclass(frozen=True)
-class RSReport:
+class RSReport(NamedTuple):
     cluster_tilting: tuple[CCIndec, ...]
     upper: tuple[CCIndec, ...]
     fixed_space: tuple
@@ -326,8 +325,7 @@ def initial_letters(q: Quiver, c_word: tuple[Vertex, ...]) -> tuple[Vertex, ...]
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CoverCriterionReport:
+class CoverCriterionReport(NamedTuple):
     torsion_class: tuple[Root, ...]
     applicable: tuple[Vertex, ...]
     not_applicable: tuple[Vertex, ...]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,24 +19,56 @@ DimVector = tuple[int, ...]
 Root = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """Finite acyclic directed multigraph on vertices 1..n (loops rejected)."""
+class _Frozen:
+    """Base of the fast path's immutable values: their `__init__` sets the
+    slots with `object.__setattr__`, and any later assignment raises."""
 
-    n: int
-    arrows: tuple[tuple[Vertex, Vertex], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Quiver(_Frozen):
+    """Finite acyclic directed multigraph on vertices 1..n (loops rejected).
+
+    An immutable value: equal quivers hash alike, and the hash of the
+    field tuple is computed once, since every per-quiver cache is keyed on
+    the quiver.
+    """
+
+    __slots__ = ("n", "arrows", "_hash")
+
+    def __init__(self, n: int, arrows: tuple[tuple[Vertex, Vertex], ...]):
+        if n < 1:
             raise ValueError("quiver needs at least one vertex")
-        arrows = tuple(sorted(tuple(a) for a in self.arrows))
-        object.__setattr__(self, "arrows", arrows)
+        arrows = tuple(sorted(tuple(a) for a in arrows))
         for s, t in arrows:
-            if not (1 <= s <= self.n and 1 <= t <= self.n):
+            if not (1 <= s <= n and 1 <= t <= n):
                 raise ValueError(f"arrow {s}->{t} uses an undeclared vertex")
             if s == t:
                 raise ValueError(f"loop at vertex {s} is not allowed")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "_hash", hash((n, arrows)))
         self.topological_order()  # raises on an oriented cycle
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.arrows == other.arrows
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, arrows={self.arrows!r})"
+
+    def __reduce__(self):
+        return type(self), (self.n, self.arrows)
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:

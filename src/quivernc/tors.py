@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .quiver import Quiver, Root, Vertex, positive_roots, require_finite_type, support
+from .quiver import Quiver, Root, positive_roots, require_finite_type
 from .quiver import ext_dim_roots, hom_dim_roots
 
 IndecSet = frozenset  # of Root
@@ -35,6 +35,17 @@ def _bits(q: Quiver) -> dict[Root, int]:
 def _mask(q: Quiver, s) -> int:
     bits = _bits(q)
     return sum(bits[r] for r in s)
+
+
+@lru_cache(maxsize=None)
+def _support_masks(q: Quiver) -> dict[Root, int]:
+    """Bit v - 1 of root a's mask is set when vertex v is in its support."""
+    return {a: sum(1 << i for i, x in enumerate(a) if x) for a in positive_roots(q)}
+
+
+def _support(q: Quiver, s) -> int:
+    """The support of the members of s, as a mask like `_support_masks`."""
+    return _union(_support_masks(q), s)
 
 
 def _union(masks: dict, s) -> int:
@@ -96,6 +107,11 @@ def torsion_closure(q: Quiver, s: IndecSet) -> IndecSet:
     """
     s = frozenset(s)
     _check_roots(q, s)
+    return _closure(q, s)
+
+
+def _closure(q: Quiver, s) -> IndecSet:
+    """`torsion_closure` of roots known to be positive roots of q."""
     masks = _hom_masks(q)
     perp = ~_union(masks, s)
     return frozenset(x for x, mask in masks.items() if not mask & perp)
@@ -125,30 +141,26 @@ def split_projectives(
     t = frozenset(t)
     if projectives is None:
         projectives = ext_projectives(q, t)
+    else:
+        projectives = frozenset(projectives)
+        _check_roots(q, projectives)
     result = frozenset(
-        x for x in projectives if x not in torsion_closure(q, projectives - {x})
+        x for x in projectives if x not in _closure(q, projectives - {x})
     )
-    if torsion_closure(q, result) != t:
+    if _closure(q, result) != t:
         raise RuntimeError("minimal generator does not generate the torsion class")
     return result
 
 
-def a_of(q: Quiver, t: IndecSet) -> IndecSet:
+def a_of(q: Quiver, t: IndecSet, projectives: IndecSet | None = None) -> IndecSet:
     """The wide subcategory of T: members receiving no morphism from a
-    non-split Ext-projective."""
+    non-split Ext-projective (P, `ext_projectives(q, t)` unless given)."""
     t = frozenset(t)
-    _require_torsion_class(q, t)
-    projectives = ext_projectives(q, t)
+    if projectives is None:
+        projectives = ext_projectives(q, t)  # checks that t is a torsion class
     nonsplit = projectives - split_projectives(q, t, projectives)
     reached, bits = _union(_hom_masks(q), nonsplit), _bits(q)
     return frozenset(x for x in t if not bits[x] & reached)
-
-
-def _support_size(s) -> int:
-    supp: set[Vertex] = set()
-    for a in s:
-        supp |= support(a)
-    return len(supp)
 
 
 def is_support_tilting(q: Quiver, c: IndecSet) -> bool:
@@ -158,7 +170,7 @@ def is_support_tilting(q: Quiver, c: IndecSet) -> bool:
     _check_roots(q, c)
     if _union(_ext_masks(q), c) & _mask(q, c):
         return False
-    return len(c) == _support_size(c)
+    return len(c) == _support(q, c).bit_count()
 
 
 def compatible_sets(items: tuple, compatible: dict, size: int | None = None) -> list[tuple]:
@@ -188,7 +200,7 @@ def enumerate_support_tilting(q: Quiver) -> tuple[IndecSet, ...]:
     roots = positive_roots(q)
     found = [
         frozenset(s) for s in compatible_sets(roots, _ext_free_masks(q))
-        if len(s) == _support_size(s)
+        if len(s) == _support(q, s).bit_count()
     ]
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
@@ -196,7 +208,7 @@ def enumerate_support_tilting(q: Quiver) -> tuple[IndecSet, ...]:
 @lru_cache(maxsize=None)
 def enumerate_torsion_classes(q: Quiver) -> tuple[IndecSet, ...]:
     """All finitely generated torsion classes, as Gen of support tiltings."""
-    classes = [torsion_closure(q, c) for c in enumerate_support_tilting(q)]
+    classes = [_closure(q, c) for c in enumerate_support_tilting(q)]
     ordered = sorted(set(classes), key=lambda s: (len(s), sorted(s)))
     if len(ordered) != len(classes):
         raise RuntimeError("support tilting objects generated a repeated torsion class")

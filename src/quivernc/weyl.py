@@ -30,7 +30,6 @@ on column vectors: w(v) = mat . v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,21 +40,42 @@ from .quiver import (
     Quiver,
     Root,
     Vertex,
+    _Frozen,
     cartan_matrix,
     coxeter_element_word,
     is_positive_root,
     positive_roots,
     require_finite_type,
     simple_roots,
-    support,
 )
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Integer matrix acting on dimension vectors by w(v) = mat . v."""
+class GroupElement(_Frozen):
+    """Integer matrix acting on dimension vectors by w(v) = mat . v.
 
-    mat: tuple[tuple[int, ...], ...]
+    An immutable value, hashed once like `Quiver`: elements key the caches
+    and the sets of elements that `verify` builds.
+    """
+
+    __slots__ = ("mat", "_hash")
+
+    def __init__(self, mat: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "_hash", hash((mat,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mat == other.mat
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(mat={self.mat!r})"
+
+    def __reduce__(self):
+        return type(self), (self.mat,)
 
     @staticmethod
     def identity(n: int) -> "GroupElement":

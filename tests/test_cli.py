@@ -213,6 +213,18 @@ class TestTable:
         code, out, _ = run(capsys, "table", A5)
         assert code == 0 and len(out.splitlines()) == 133  # header + 132 rows
 
+    def test_each_row_computes_projectives_and_wide_once(self, capsys, monkeypatch):
+        """The cluster, support and wide columns share the Ext-projectives,
+        and the wide and nc columns share a(T)."""
+        calls = {"ext_projectives": 0, "a_of": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(tors, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(tors, name, counted)
+        code, out, _ = run(capsys, "table", A3)
+        assert code == 0 and calls == {"ext_projectives": 14, "a_of": 14}
+
 
 class TestOracleFree:
     """Production verbs never enumerate GF(2) subrepresentations."""
@@ -430,6 +442,31 @@ def test_import_leaves_hashlib_unloaded():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("roots", A3),
+    ("ar", A3),
+    ("enumerate", "--what=torsion", A3),
+    ("map", A3, "--from", "torsion", "--to", "wide",
+     "--object", "[[0,1,0],[0,1,1],[1,1,0],[1,1,1]]"),
+    ("table", A3),
+], ids=["import", "roots", "ar", "enumerate", "map", "table"])
+def test_data_verbs_leave_dataclasses_unloaded(argv):
+    """dataclasses pulls in inspect, ast, dis and tokenize, about 12 ms of
+    every fresh process: the fast path's value types are slotted classes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
+    code = (
+        "import sys, quivernc.cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert quivernc.cli.main(sys.argv[1:]) == 0\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_python_m_runs_the_cli():

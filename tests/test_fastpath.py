@@ -35,7 +35,8 @@ from quivernc.cli import (
     _enumerate_rows,
     _nc_str,
     _root_str,
-    _torsion_of,
+    _Row,
+    _row_of,
     _word_str,
     cmd_map,
 )
@@ -236,7 +237,7 @@ def test_nc_to_wide_accepts_exactly_nc(q):
     accepted = set()
     for w in weyl_group(q):
         try:
-            _torsion_of(q, "nc", w)
+            _row_of(q, "nc", w)
         except ValueError as exc:
             assert "not a noncrossing partition" in str(exc)
         else:
@@ -249,8 +250,8 @@ def test_map_sends_each_kind_of_a_torsion_class_to_every_kind(q, capsys):
     """All 36 (--from, --to) pairs, equal ones included, on every torsion
     class: `map` takes the class's --from object to its --to object.  The
     cluster and support columns equal the independent subset searches."""
-    rows = [{kind: of_torsion(q, t) for kind, (_, _, of_torsion) in _KINDS.items()}
-            for t in enumerate_torsion_classes(q)]
+    rows = [{kind: row[kind] for kind in _KINDS}
+            for row in (_Row(q, t) for t in enumerate_torsion_classes(q))]
     for kind, search in (("cluster", cluster_tilting_objects), ("support", enumerate_support_tilting)):
         column = {row[kind] for row in rows}
         assert len(column) == len(rows) and column == set(search(q))
