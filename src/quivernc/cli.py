@@ -217,11 +217,13 @@ def _emit_object(q: Quiver, kind: str, obj) -> str:
 # map reads the ones it starts from out of the row, so a `table` row or a
 # `map` query computes the Ext-projectives and a(T) once.  The lambdas look
 # each map up at call time, so a patched or traced library function is the
-# one that runs.
+# one that runs.  The cluster and nc maps take the unchecked cores
+# `_completion` and `_cox_of_wide`: a row's support and wide objects are
+# made from its torsion class, so there is nothing to check.
 _KINDS = {
     "cluster": ("a cluster tilting object",
                 lambda q, x: clus.gen_of(q, x),
-                lambda q, row: clus.complete_support_tilting(q, row["support"])),
+                lambda q, row: clus._completion(q, row["support"])),
     "support": ("a support tilting object",
                 lambda q, x: tors.torsion_closure(q, x),
                 lambda q, row: tors.ext_projectives(q, row["torsion"])),
@@ -233,7 +235,7 @@ _KINDS = {
              lambda q, row: tors.a_of(q, row["torsion"], row["support"])),
     "nc": ("a noncrossing partition",
            lambda q, w: tors.torsion_closure(q, ncmap.wide_of_nc(q, w)),
-           lambda q, row: ncmap.cox_of_wide(q, row["wide"])),
+           lambda q, row: ncmap._cox_of_wide(q, row["wide"])),
     "sortable": ("a sortable element",
                  lambda q, w: tors.torsion_closure(q, inversion_set(q, w)),
                  lambda q, row: ncmap.sortable_of_torsion(q, row["torsion"])),

@@ -1,23 +1,61 @@
 """Finite poset and lattice analytics, and the oracles on the lattice side:
-the walk over the Weyl group, absolute order by integer (Bareiss) rank with
-l_T computed once per element, the noncrossing partition poset
-[e, cox(Q)], meet/join of torsion classes, principal (join-irreducible)
-classes and the left-modular splitting chain.
+absolute order by integer (Bareiss) rank with l_T computed once per
+element, the noncrossing partition poset [e, cox(Q)] built from its cover
+relations, the c-sortable elements by Reading's induction, meet/join of
+torsion classes, principal (join-irreducible) classes and the left-modular
+splitting chain.
+
+The lattice layer works on bitsets: each element's up-set and down-set is
+an int, built once from the relation. The join of i and j is the element
+whose up-set is up[i] & up[j], found by a dict lookup, the meet likewise
+with down-sets, and j covers i when the interval up[i] & down[j] has two
+elements. [e, cox] is built downward from cox: the lower covers of v are
+the v t, t a reflection with l_T(v t) = l_T(v) - 1, and each down-set is
+the union of those of its lower covers. No suite walks the Weyl group;
+`weyl_group` stays as the reference the tests compare these against.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, Sequence
 
 from . import fields
 from .fields import GF2
-from .quiver import Quiver, positive_roots, require_finite_type
+from .quiver import Quiver, cartan_matrix, positive_roots, require_finite_type
 from .replab import DEFAULT_CAP, extension_root_closure, gen
 from .tors import IndecSet, enumerate_torsion_classes
-from .weyl import GroupElement, ar_linear_order, coxeter_element, simple_reflection
+from .weyl import (
+    GroupElement,
+    _two_rho,
+    _validate_word,
+    ar_linear_order,
+    coxeter_element,
+    reflection,
+    simple_reflection,
+)
+
+
+def _mask(flags: Sequence[bool]) -> int:
+    """The int whose bit j is flags[j]."""
+    return int("".join(map("01".__getitem__, reversed(flags))) or "0", 2)
+
+
+def _flags(mask: int, n: int) -> tuple[bool, ...]:
+    """The first n bits of mask, bit 0 first."""
+    return tuple(map("1".__eq__, reversed(format(mask, f"0{n}b")))) if n else ()
+
+
+def _bits_of(mask: int) -> list[int]:
+    """The positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -38,35 +76,39 @@ class FinitePoset:
         p.validate()
         return p
 
+    @cached_property
+    def _sets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(up, down): bit j of up[i] and bit i of down[j] are leq[i][j]."""
+        return tuple(map(_mask, self.leq)), tuple(map(_mask, zip(*self.leq)))
+
     def validate(self) -> None:
-        n = len(self.payloads)
-        for i in range(n):
-            if not self.leq[i][i]:
+        """Raise at the first defect in row order: for each i, reflexivity,
+        then for j ascending antisymmetry and transitivity at (i, j)."""
+        up, down = self._sets
+        n = len(up)
+        for i, above in enumerate(up):
+            bit = 1 << i
+            if not above & bit:
                 raise ValueError("relation is not reflexive; not a poset")
-            for j in range(n):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
-                    raise ValueError("relation is not antisymmetric; not a poset")
-                if self.leq[i][j]:
-                    for k in range(n):
-                        if self.leq[j][k] and not self.leq[i][k]:
-                            raise ValueError("relation is not transitive; not a poset")
+            both = above & down[i] & ~bit  # the j != i with i <= j <= i
+            anti = (both & -both).bit_length() - 1 if both else n
+            trans = next((j for j in _bits_of(above) if up[j] & ~above), n)
+            if anti < n and anti <= trans:
+                raise ValueError("relation is not antisymmetric; not a poset")
+            if trans < n:
+                raise ValueError("relation is not transitive; not a poset")
 
     def __len__(self) -> int:
         return len(self.payloads)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        n = len(self)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if not any(
-                    k != i and k != j and self.leq[i][k] and self.leq[k][j]
-                    for k in range(n)
-                ):
-                    out.append((i, j))
-        return tuple(out)
+        up, down = self._sets
+        return tuple(
+            (i, j)
+            for i, above in enumerate(up)
+            for j in _bits_of(above)
+            if (above & down[j]).bit_count() == 2
+        )
 
 
 @dataclass(frozen=True)
@@ -96,20 +138,22 @@ class LatticeReport:
 
 
 def _bound_tables(p: FinitePoset) -> tuple[list[list[int | None]], list[list[int | None]]]:
-    n = len(p)
-    joins: list[list[int | None]] = [[None] * n for _ in range(n)]
-    meets: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            ub = [k for k in range(n) if p.leq[i][k] and p.leq[j][k]]
-            least = [m for m in ub if all(p.leq[m][k] for k in ub)]
-            if len(least) == 1:
-                joins[i][j] = joins[j][i] = least[0]
-            lb = [k for k in range(n) if p.leq[k][i] and p.leq[k][j]]
-            greatest = [m for m in lb if all(p.leq[k][m] for k in lb)]
-            if len(greatest) == 1:
-                meets[i][j] = meets[j][i] = greatest[0]
+    """joins[i][j], the m with up[m] == up[i] & up[j], and meets[i][j], the
+    m with down[m] == down[i] & down[j]; None where there is no such m."""
+    up, down = p._sets
+    by_up = {u: m for m, u in enumerate(up)}
+    by_down = {d: m for m, d in enumerate(down)}
+    joins = [[by_up.get(ui & uj) for uj in up] for ui in up]
+    meets = [[by_down.get(di & dj) for dj in down] for di in down]
     return joins, meets
+
+
+def _reducible(table: list[list[int | None]]) -> set[int]:
+    """The x that are table[y][z] for some y, z both other than x."""
+    return {
+        m for y, row in enumerate(table) for z, m in enumerate(row)
+        if m is not None and m != y and m != z
+    }
 
 
 def lattice_analyze(p: FinitePoset) -> LatticeReport:
@@ -117,36 +161,23 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
     chain, extremality, left-modular maximal chain, trimness."""
     p.validate()
     n = len(p)
+    up, down = p._sets
     joins, meets = _bound_tables(p)
-    is_lattice = all(
-        joins[i][j] is not None and meets[i][j] is not None
-        for i in range(n)
-        for j in range(n)
-    )
+    is_lattice = not any(None in row for row in joins + meets)
 
-    minima = [i for i in range(n) if all(p.leq[i][j] for j in range(n))]
-    maxima = [i for i in range(n) if all(p.leq[j][i] for j in range(n))]
-
-    ji = []
-    mi = []
-    for x in range(n):
-        below = [y for y in range(n) if y != x and p.leq[y][x]]
-        if x not in minima and not any(
-            joins[y][z] == x for y in below for z in below
-        ):
-            ji.append(x)
-        above = [y for y in range(n) if y != x and p.leq[x][y]]
-        if x not in maxima and not any(
-            meets[y][z] == x for y in above for z in above
-        ):
-            mi.append(x)
+    every = (1 << n) - 1
+    minima = [i for i in range(n) if up[i] == every]
+    maxima = [i for i in range(n) if down[i] == every]
+    join_reducible, meet_reducible = _reducible(joins), _reducible(meets)
+    ji = [x for x in range(n) if x not in minima and x not in join_reducible]
+    mi = [x for x in range(n) if x not in maxima and x not in meet_reducible]
 
     covers = p.covers()
     succ: dict[int, list[int]] = {i: [] for i in range(n)}
     for a, b in covers:
         succ[a].append(b)
     depth = [0] * n
-    order = sorted(range(n), key=lambda i: sum(p.leq[j][i] for j in range(n)))
+    order = sorted(range(n), key=lambda i: down[i].bit_count())
     for i in order:
         for j in succ[i]:
             depth[j] = max(depth[j], depth[i] + 1)
@@ -156,21 +187,18 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
 
     chain: tuple[int, ...] | None = None
     if is_lattice and n:
-        lm = []
-        for x in range(n):
-            good = True
-            for y in range(n):
-                for z in range(n):
-                    if y == z or not p.leq[y][z]:
-                        continue
-                    if meets[joins[y][x]][z] != joins[y][meets[x][z]]:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                lm.append(x)
-        lmset = set(lm)
+        strictly_above = [_bits_of(up[y] & ~(1 << y)) for y in range(n)]
+
+        def left_modular(x: int) -> bool:
+            """(y v x) ^ z == y v (x ^ z) for every y < z."""
+            jx, mx = joins[x], meets[x]
+            return all(
+                list(map(meets[jx[y]].__getitem__, zs))
+                == list(map(joins[y].__getitem__, map(mx.__getitem__, zs)))
+                for y, zs in enumerate(strictly_above)
+            )
+
+        lmset = {x for x in range(n) if left_modular(x)}
         bottom, top = minima[0], maxima[0]
 
         def dfs(node: int, acc: list[int]) -> tuple[int, ...] | None:
@@ -279,12 +307,92 @@ def absolute_leq(q: Quiver, u: GroupElement, v: GroupElement) -> bool:
 @lru_cache(maxsize=None)
 def noncrossing_partitions(q: Quiver) -> FinitePoset:
     """The interval [e, cox(Q)] in absolute order, as a poset whose payloads
-    are the group elements, ordered by absolute length, then by matrix."""
+    are the group elements, ordered by absolute length, then by matrix.
+
+    Built downward from cox along its cover relations: the lower covers of
+    v are the v t, t a reflection with l_T(v t) = l_T(v) - 1, and l_T(v t)
+    = l_T(t v) = rank(v - t). Every element of the interval is reached, and
+    only those. The down-set of v is v with the down-sets of its lower
+    covers, so leq is their closure."""
     require_finite_type(q)
+    reflections = [reflection(q, r) for r in positive_roots(q)]
     cox = coxeter_element(q)
-    elems = [w for w in weyl_group(q) if absolute_leq(q, w, cox)]
-    elems.sort(key=lambda w: (absolute_length(q, w), w.mat))
-    leq = tuple(
-        tuple(absolute_leq(q, u, v) for v in elems) for u in elems
-    )
+    length = {cox: absolute_length(q, cox)}
+    lower: dict[GroupElement, list[GroupElement]] = {}
+    frontier = [cox]
+    while frontier:
+        below = []
+        for v in frontier:
+            lv = length[v]
+            lower[v] = [v * t for t in reflections if _rank_of_difference(v, t) == lv - 1]
+            for u in lower[v]:
+                if u not in length:
+                    length[u] = lv - 1
+                    below.append(u)
+        frontier = below
+    elems = sorted(length, key=lambda w: (length[w], w.mat))
+    index = {w: i for i, w in enumerate(elems)}
+    down: list[int] = []
+    for i, w in enumerate(elems):  # lower covers come first: they are shorter
+        d = 1 << i
+        for u in lower[w]:
+            d |= down[index[u]]
+        down.append(d)
+    leq = tuple(zip(*(_flags(d, len(elems)) for d in down)))
     return FinitePoset(tuple(elems), leq)
+
+
+def c_sortable_elements(q: Quiver, c_word: tuple[int, ...]) -> Iterator[GroupElement]:
+    """Every c-sortable element of W, shortest first, by Reading's
+    induction in layers by length: with s = c[0],
+
+        Sort_k(c) = {s u : u in Sort_{k-1}(c[1:] + s), s not in D_L(u)}
+                    | Sort_k(W<S - s>, c[1:]).
+
+    The first part has s as a left descent, the second lies in the
+    parabolic subgroup on the other letters, so no element comes twice.
+    Each element is carried with y = w(2 rho): s is a left descent of u
+    exactly when (e_s, y) < 0, and s u has y - (e_s, y) e_s. Multiplying
+    by s on the left changes row s only, by the Cartan matrix B:
+    row_s - sum_k B[s][k] row_k."""
+    require_finite_type(q)
+    _validate_word(q, c_word)
+    b = cartan_matrix(q)
+    start = (GroupElement.identity(q.n).mat, _two_rho(q))
+    memo: dict[tuple[tuple[int, ...], int], list] = {}
+
+    def left_multiply(s: int, mat, y) -> tuple | None:
+        """(s u, (s u)(2 rho)) when s is not a left descent of u."""
+        row = b[s - 1]
+        zs = sum(x * z for x, z in zip(row, y))
+        if zs < 0:
+            return None
+        new_row = tuple(
+            mat[s - 1][j] - sum(row[k] * mat[k][j] for k in range(q.n))
+            for j in range(q.n)
+        )
+        return (
+            mat[: s - 1] + (new_row,) + mat[s:],
+            y[: s - 1] + (y[s - 1] - zs,) + y[s:],
+        )
+
+    def layer(word: tuple[int, ...], k: int) -> list:
+        if (word, k) not in memo:
+            if k == 0:
+                out = [start]
+            elif not word:
+                out = []
+            else:
+                s = word[0]
+                out = [x for u in layer(word[1:] + (s,), k - 1)
+                       if (x := left_multiply(s, *u)) is not None]
+                out += layer(word[1:], k)
+            memo[word, k] = out
+        return memo[word, k]
+
+    c_word = tuple(c_word)
+    return (
+        GroupElement(mat)
+        for k in range(len(positive_roots(q)) + 1)
+        for mat, _ in layer(c_word, k)
+    )

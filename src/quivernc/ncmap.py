@@ -33,7 +33,7 @@ from .quiver import (
     simple_roots,
 )
 from .quiver import ext_dim_roots, hom_dim_roots
-from .tors import IndecSet, a_of, torsion_closure, wide_simples
+from .tors import IndecSet, _wide_simples, a_of, torsion_closure, wide_simples
 from .weyl import (
     GroupElement,
     _simple_pairing,
@@ -50,6 +50,11 @@ from .weyl import (
 def cox_of_wide(q: Quiver, a: IndecSet) -> GroupElement:
     """Product of the reflections of the simples of A in exceptional order."""
     return reflection_product(q, wide_simples(q, a))
+
+
+def _cox_of_wide(q: Quiver, a: IndecSet) -> GroupElement:
+    """`cox_of_wide` of a set of positive roots of q, such as a(T)."""
+    return reflection_product(q, _wide_simples(q, a))
 
 
 def wide_of_nc(q: Quiver, w: GroupElement) -> IndecSet:
@@ -70,7 +75,7 @@ def nc_of_torsion(q: Quiver, t: IndecSet) -> GroupElement:
     (inclusion of the torsion classes themselves is the Cambrian order,
     which NC_Q does not refine).
     """
-    return cox_of_wide(q, a_of(q, t))
+    return _cox_of_wide(q, a_of(q, t))
 
 
 def sorting_word_of_torsion(q: Quiver, t: IndecSet) -> tuple[Vertex, ...]:

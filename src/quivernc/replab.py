@@ -6,12 +6,14 @@ indecomposable for each positive root, subrepresentation enumeration (the
 brute-force oracle substrate) and Krull-Schmidt decomposition by Hom
 fingerprints.  The Hom basis between the indecomposables of two roots is
 solved once per quiver, root pair and field, and serves both the
-decomposition's Hom table and Gen.  On top of these sit the references
-that `verify` and the tests check the integer fast path against: Gen(S) as
-a trace over explicit Hom bases (for `tors.torsion_closure`), the GF(2)
-quotient and extension closures behind `is_torsion_class` and `is_wide`,
-the torsion subobject, and the AR quiver from Hom bases (for
-`weyl.ar_quiver`).  No production module imports this one.
+decomposition's Hom table and Gen; each decomposition is resolved once per
+representation, and each Gen traced once per set and field.  On top of
+these sit the references that `verify` and the tests check the integer
+fast path against: Gen(S) as a trace over explicit Hom bases (for
+`tors.torsion_closure`), the GF(2) quotient and extension closures behind
+`is_torsion_class` and `is_wide`, the torsion subobject, and the AR quiver
+from Hom bases (for `weyl.ar_quiver`).  No production module imports this
+one.
 """
 
 from __future__ import annotations
@@ -463,15 +465,18 @@ def _subspace_lists(field, dim: int) -> tuple:
 
 
 def subrepresentation_subspaces(
-    m: Representation, cap: int = DEFAULT_CAP
+    m: Representation, cap: int = DEFAULT_CAP, dims: DimVector | None = None
 ) -> list[tuple[tuple[tuple, ...], ...]]:
-    """All subrepresentations as per-vertex RREF subspace bases."""
+    """All subrepresentations as per-vertex RREF subspace bases; with
+    `dims`, only those of that dimension vector."""
     if m.total_dim > cap:
         raise OracleCapError(
             f"total dimension {m.total_dim} exceeds the oracle cap {cap}"
         )
     q, field = m.quiver, m.field
     per_vertex = [_subspace_lists(field, d) for d in m.dims]
+    if dims is not None:
+        per_vertex = [[s for s in subs if len(s) == k] for subs, k in zip(per_vertex, dims)]
     arrows = list(enumerate(q.arrows))
     out = []
     for choice in itertools.product(*per_vertex):
@@ -551,9 +556,11 @@ def quotient_representation(
     return Representation(q, field, dims, tuple(maps))
 
 
+@lru_cache(maxsize=None)
 def decompose(q: Quiver, m: Representation) -> tuple[Root, ...]:
     """Multiset of roots with M isomorphic to the direct sum of their
-    indecomposables, resolved by the Hom-dimension fingerprint."""
+    indecomposables, resolved by the Hom-dimension fingerprint; solved once
+    per quiver and representation (the field is part of the value)."""
     require_finite_type(q)
     if m.total_dim == 0:
         return ()
@@ -635,6 +642,12 @@ def gen(q: Quiver, s: IndecSet, field=QQ) -> IndecSet:
     require_finite_type(q)
     s = frozenset(s)
     _check_roots(q, s)
+    return _gen(q, s, field)
+
+
+@lru_cache(maxsize=None)
+def _gen(q: Quiver, s: IndecSet, field) -> IndecSet:
+    """`gen` of checked roots, traced once per quiver, set and field."""
     if not s:
         return frozenset()
     out = set()
@@ -707,9 +720,7 @@ def extension_root_closure(
     for candidate in _multisets_with_dim(q, total):
         e = direct_sum([indecomposable(q, r, GF2) for r in candidate])
         found = False
-        for sub in subrepresentation_subspaces(e, cap):
-            if tuple(len(rows) for rows in sub) != beta:
-                continue
+        for sub in subrepresentation_subspaces(e, cap, beta):
             if decompose(q, sub_representation(e, sub)) != (beta,):
                 continue
             if decompose(q, quotient_representation(e, sub)) == (alpha,):

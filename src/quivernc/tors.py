@@ -228,6 +228,11 @@ def wide_simples(q: Quiver, a: IndecSet) -> tuple[Root, ...]:
     require_finite_type(q)
     a = frozenset(a)
     _check_roots(q, a)
+    return _wide_simples(q, a)
+
+
+def _wide_simples(q: Quiver, a: IndecSet) -> tuple[Root, ...]:
+    """`wide_simples` of a set of positive roots of q."""
     simples = [
         x for x in a if not any(tuple(i - j for i, j in zip(x, y)) in a for y in a)
     ]

@@ -16,15 +16,9 @@ from typing import Callable
 
 from . import cluster as cl
 from . import __version__, latt, ncmap, replab, stab, tors
-from .latt import absolute_length, absolute_leq, noncrossing_partitions, weyl_group
+from .latt import absolute_length, absolute_leq, noncrossing_partitions
 from .quiver import Quiver, coxeter_element_word, positive_roots, support
-from .weyl import (
-    coxeter_element,
-    is_c_sortable,
-    reduced_word,
-    reflection_product,
-    word_to_element,
-)
+from .weyl import coxeter_element, reduced_word, reflection_product, word_to_element
 
 
 @dataclass
@@ -86,7 +80,7 @@ def suite_bijections(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
     cts = cl.cluster_tilting_objects(q)
     nc_elems = {ncmap.nc_of_torsion(q, t) for t in classes}
     cword = coxeter_element_word(q)
-    sortable_count = sum(1 for w in weyl_group(q) if is_c_sortable(q, w, cword))
+    sortable_count = sum(1 for _ in latt.c_sortable_elements(q, cword))
     counts = {len(classes), len(tiltings), len(cts), len(nc_elems), sortable_count}
     rep.check(len(counts) == 1, f"counts disagree: {sorted(counts)}")
 
@@ -286,7 +280,7 @@ def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
     rep = VerifyReport("reading", q, seed, cap)
     t0 = time.monotonic()
     cword = coxeter_element_word(q)
-    sortables = [w for w in weyl_group(q) if is_c_sortable(q, w, cword)]
+    sortables = list(latt.c_sortable_elements(q, cword))
     rep.check(
         len(sortables) == len(tors.enumerate_torsion_classes(q)),
         f"{len(sortables)} sortable elements vs"

@@ -10,6 +10,7 @@ from argparse import Namespace
 
 import pytest
 
+import latt_reference
 from quivernc import (
     a_of,
     cluster_tilting_objects,
@@ -42,7 +43,16 @@ from quivernc.cli import (
 )
 from quivernc.cluster import _orth_masks, all_cc_indecs, cc_ext_orthogonal, mutate
 from quivernc.fields import GF2, QQ
-from quivernc.latt import absolute_length, absolute_leq, noncrossing_partitions, weyl_group
+from quivernc.latt import (
+    _bound_tables,
+    absolute_length,
+    absolute_leq,
+    c_sortable_elements,
+    cambrian_poset,
+    lattice_analyze,
+    noncrossing_partitions,
+    weyl_group,
+)
 from quivernc import ncmap, weyl
 from quivernc.ncmap import (
     CoverCriterionReport,
@@ -99,6 +109,7 @@ EDGES = {
     "a4": (4, ((1, 2), (2, 3), (3, 4))),
     "d4": (4, ((1, 2), (2, 3), (2, 4))),
 }
+D5 = "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5"
 
 
 def orientations(n, edges):
@@ -115,8 +126,9 @@ QUIVERS = [
     for q in orientations(n, edges)
 ]
 WEYL_QUIVERS = QUIVERS + [pytest.param(parse_quiver("vertices 3\narrow 1 2"), id="a2+a1")]
+LATTICE_QUIVERS = WEYL_QUIVERS + [pytest.param(parse_quiver(D5), id="d5")]
 AR_QUIVERS = QUIVERS + [
-    pytest.param(parse_quiver("vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5"), id="d5"),
+    pytest.param(parse_quiver(D5), id="d5"),
     pytest.param(parse_quiver(
         "vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6"), id="e6"),
 ]
@@ -143,9 +155,35 @@ def gf2_simples(q, a):
 
 def test_nc_interval_matches_poset(a3, d4):
     for q in (a3, d4):
-        cox = coxeter_element(q)
-        nc = {w for w in weyl_group(q) if absolute_leq(q, w, cox)}
-        assert nc == set(noncrossing_partitions(q).payloads)
+        nc = latt_reference.noncrossing_partitions_by_weyl_filter(q).payloads
+        assert set(nc) == set(noncrossing_partitions(q).payloads)
+
+
+@pytest.mark.parametrize("q", LATTICE_QUIVERS)
+def test_nc_by_covers_matches_weyl_filter(q):
+    """The same payloads in the same order, and the same relation."""
+    assert noncrossing_partitions(q) == latt_reference.noncrossing_partitions_by_weyl_filter(q)
+
+
+@pytest.mark.parametrize("q", LATTICE_QUIVERS)
+def test_sortables_by_induction_match_weyl_filter(q):
+    cword = coxeter_element_word(q)
+    for word in (cword, cword[::-1], cword[1:] + cword[:1]):
+        found = list(c_sortable_elements(q, word))
+        assert len(found) == len(set(found)), word
+        assert set(found) == latt_reference.c_sortables_by_weyl_filter(q, word), word
+        lengths = [length_S(q, w) for w in found]
+        assert lengths == sorted(lengths), word  # shortest first
+
+
+@pytest.mark.parametrize("q", LATTICE_QUIVERS)
+def test_bitset_lattice_layer_matches_list_scans(q):
+    for p in (noncrossing_partitions(q), cambrian_poset(q)):
+        p.validate()
+        latt_reference.validate(p)
+        assert p.covers() == latt_reference.covers(p)
+        assert _bound_tables(p) == latt_reference.bound_tables(p)
+        assert lattice_analyze(p) == latt_reference.lattice_analyze(p)
 
 
 def test_orientation_counts():

@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import latt_reference
 from quivernc import enumerate_torsion_classes, positive_roots
 from quivernc.latt import (
     FinitePoset,
@@ -38,6 +41,61 @@ class TestFinitePoset:
     def test_covers(self):
         p = boolean_lattice_two_atoms()
         assert set(p.covers()) == {(0, 1), (0, 2), (1, 3), (2, 3)}
+
+
+def _error(validate, p):
+    try:
+        validate(p)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _relation(n, flags):
+    return tuple(tuple(flags[i * n + j] for j in range(n)) for i in range(n))
+
+
+def _closure(n, leq):
+    """The reflexive and transitive closure (Floyd-Warshall)."""
+    leq = [[leq[i][j] or i == j for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    leq[i][j] = leq[i][j] or leq[k][j]
+    return tuple(map(tuple, leq))
+
+
+class TestBitsetsAgainstListScans:
+    """The bitset lattice layer against the definitions scanned pair by
+    pair, on random relations: non-posets, posets, non-lattices."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(n=st.integers(0, 6), data=st.data())
+    def test_validate_raises_the_same_error(self, n, data):
+        leq = _relation(n, data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+        kind = data.draw(st.sampled_from(["raw", "reflexive", "preorder"]))
+        if kind == "reflexive":
+            leq = tuple(tuple(x or i == j for j, x in enumerate(row)) for i, row in enumerate(leq))
+        elif kind == "preorder":  # fails antisymmetry only, if anything
+            leq = _closure(n, leq)
+        p = FinitePoset(tuple(range(n)), leq)
+        assert _error(FinitePoset.validate, p) == _error(latt_reference.validate, p)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.integers(0, 7), data=st.data())
+    def test_analysis_matches_on_random_posets(self, n, data):
+        rank = data.draw(st.permutations(range(n)))
+        flags = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        edges = _relation(n, flags)  # kept only where they climb the ranking
+        leq = _closure(n, tuple(
+            tuple(edges[i][j] and rank[i] < rank[j] for j in range(n)) for i in range(n)
+        ))
+        p = FinitePoset(tuple(range(n)), leq)
+        p.validate()
+        assert p.covers() == latt_reference.covers(p)
+        assert _bound_tables(p) == latt_reference.bound_tables(p)
+        assert lattice_analyze(p) == latt_reference.lattice_analyze(p)
 
 
 class TestLatticeAnalyze:

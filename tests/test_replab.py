@@ -412,3 +412,46 @@ def test_subrep_dimvector_cache_keeps_caps_and_fields_apart(fix, request):
                 assert subrep_dimvectors(m, cap) == uncached(m, cap), (cap, field, r)
     # a simple root's representation has the same entries over both fields
     assert subrep_dimvectors.cache_info().currsize == 2 * 2 * len(roots)
+
+
+def test_decompose_and_gen_caches_match_fresh_results(a3):
+    """Cached answers equal those computed with the caches cleared, and a
+    representation over QQ and the same matrices over GF2 are different
+    keys: Fraction(1) == 1, so only the field tells them apart."""
+    roots = positive_roots(a3)
+    reps = [direct_sum([indecomposable(a3, a, f), indecomposable(a3, b, f)])
+            for f in (QQ, GF2) for a in roots for b in roots]
+    sets = [frozenset(roots[:k]) for k in range(len(roots) + 1)]
+
+    def answers():
+        return ([decompose(a3, m) for m in reps],
+                [gen(a3, s, f) for s in sets for f in (QQ, GF2)])
+
+    cached = answers()
+    assert answers() == cached
+    decompose.cache_clear()
+    replab._gen.cache_clear()
+    assert answers() == cached
+
+    qq, gf2 = simple_rep(a3, 1, QQ), simple_rep(a3, 1, GF2)
+    assert qq.dims == gf2.dims and qq != gf2
+    decompose.cache_clear()
+    decompose(a3, qq), decompose(a3, gf2)
+    assert decompose.cache_info().misses == 2
+    replab._gen.cache_clear()
+    gen(a3, sets[1], QQ), gen(a3, sets[1], GF2)
+    assert replab._gen.cache_info().misses == 2
+
+
+def test_gen_checks_roots_before_the_cache(a3):
+    gen(a3, frozenset({(1, 0, 0)}))
+    with pytest.raises(ValueError, match="not positive roots"):
+        gen(a3, frozenset({(1, 0, 0), (2, 0, 0)}))
+
+
+def test_subspaces_of_one_dimension_vector(a3):
+    m = direct_sum([indecomposable(a3, (1, 1, 1), GF2), indecomposable(a3, (0, 1, 0), GF2)])
+    every = replab.subrepresentation_subspaces(m)
+    for dims in {tuple(len(rows) for rows in sub) for sub in every} | {(1, 2, 1), (2, 0, 0)}:
+        assert replab.subrepresentation_subspaces(m, dims=dims) == [
+            sub for sub in every if tuple(len(rows) for rows in sub) == dims]

@@ -3,10 +3,11 @@ every GF(2) search, that a check's message is built only when it fails, and
 that a planted fault in a rewired law makes its suite exit 1."""
 
 import re
+import sys
 
 import pytest
 
-from quivernc import ncmap, parse_quiver, tors, verify
+from quivernc import latt, ncmap, parse_quiver, tors, verify
 from quivernc.cli import main
 
 A2 = "vertices 2\narrow 2 1"
@@ -79,3 +80,33 @@ def test_reversed_reflection_product_fails_exceptional(capsys, monkeypatch, text
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("exceptional: FAIL") and "reflection product != cox" in out
+
+
+@pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
+def test_no_suite_builds_the_weyl_group(capsys, monkeypatch, text):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verify suite built the Weyl group")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quivernc" and getattr(module, "weyl_group", None) is latt.weyl_group:
+            monkeypatch.setattr(module, "weyl_group", refuse)
+    code = main(["verify", "--suite=all", text])
+    out = capsys.readouterr().out
+    assert code == 0 and out.count(": pass (") == 5
+
+
+@pytest.mark.parametrize("suite,message", [
+    ("bijections", "counts disagree"),
+    ("reading", "sortable elements vs"),
+])
+def test_a_dropped_sortable_fails(capsys, monkeypatch, suite, message):
+    c_sortable_elements = latt.c_sortable_elements
+
+    def all_but_the_last(q, c_word):
+        return iter(list(c_sortable_elements(q, c_word))[:-1])
+
+    monkeypatch.setattr(latt, "c_sortable_elements", all_but_the_last)
+    code = main(["verify", f"--suite={suite}", D4])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith(f"{suite}: FAIL") and message in out
