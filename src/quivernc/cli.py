@@ -41,12 +41,11 @@ from functools import lru_cache
 from . import cluster as clus
 from . import ncmap, tors
 from .errors import NotFiniteTypeError, OracleCapError, QuiverSyntaxError
-from .quiver import Quiver, coxeter_element_word, parse_quiver, positive_roots
+from .quiver import Quiver, parse_quiver, positive_roots
 from .weyl import (
     ar_dot,
     ar_linear_order,
     ar_quiver,
-    c_sorting_word,
     inversion_set,
     reduced_word,
     reflection_root,
@@ -277,8 +276,8 @@ def cmd_table(q: Quiver, args) -> int:
     """One row per torsion class: its object of every kind in `_KINDS`.
 
     Roots in the text table carry their AR-quiver position as [coords]#k.
+    The sortable column is the c-sorting word, read off the torsion class.
     """
-    cword = coxeter_element_word(q)
     ar_pos = {r: i + 1 for i, r in enumerate(ar_linear_order(q))}
 
     def root_at(r) -> str:
@@ -296,7 +295,8 @@ def cmd_table(q: Quiver, args) -> int:
     rows = []
     for t in tors.enumerate_torsion_classes(q):
         row = _Row(q, t)
-        rows.append(tuple(row[kind] for kind in _KINDS))
+        rows.append((row["cluster"], row["support"], t, row["wide"], row["nc"],
+                     ncmap.sorting_word_of_torsion(q, t)))
     if args.format == "json":
         print(
             _json(
@@ -310,16 +310,16 @@ def cmd_table(q: Quiver, args) -> int:
                             "wide_subcategory": [list(r) for r in sorted(wide)],
                             "nc_word": list(reduced_word(q, nc)),
                             "nc_matrix": [list(r) for r in nc.mat],
-                            "sortable_word": list(c_sorting_word(q, w, cword)),
+                            "sortable_word": list(word),
                         }
-                        for ct, c, t, wide, nc, w in rows
+                        for ct, c, t, wide, nc, word in rows
                     ],
                 }
             )
         )
     else:
         print("cluster_tilting\tsupport_tilting\ttorsion_class\twide_subcategory\tnc\tsortable")
-        for ct, c, t, wide, nc, w in rows:
+        for ct, c, t, wide, nc, word in rows:
             print(
                 "\t".join(
                     [
@@ -328,7 +328,7 @@ def cmd_table(q: Quiver, args) -> int:
                         set_at(t),
                         set_at(wide),
                         _nc_str(q, nc),
-                        _word_str(c_sorting_word(q, w, cword)),
+                        _word_str(word),
                     ]
                 )
             )

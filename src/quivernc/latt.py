@@ -1,29 +1,30 @@
 """Finite poset and lattice analytics, and the oracles on the lattice side:
-absolute order by integer (Bareiss) rank with l_T computed once per
-element, the noncrossing partition poset [e, cox(Q)] built from its cover
-relations, the c-sortable elements by Reading's induction, meet/join of
-torsion classes, principal (join-irreducible) classes and the left-modular
-splitting chain.
+absolute order by integer (Bareiss) rank, the noncrossing partition poset
+[e, cox(Q)] built from its cover relations, the c-sortable elements by
+Reading's induction, meet/join of torsion classes, principal
+(join-irreducible) classes and the left-modular splitting chain.
 
-The lattice layer works on bitsets: each element's up-set and down-set is
-an int, built once from the relation. The join of i and j is the element
-whose up-set is up[i] & up[j], found by a dict lookup, the meet likewise
-with down-sets, and j covers i when the interval up[i] & down[j] has two
-elements. [e, cox] is built downward from cox: the lower covers of v are
-the v t, t a reflection with l_T(v t) = l_T(v) - 1, and each down-set is
-the union of those of its lower covers. No suite walks the Weyl group;
-`weyl_group` stays as the reference the tests compare these against.
+A poset's relation is its bitsets: each element's up-set and down-set is
+an int, and a `FinitePoset` holds these beside its payloads. The join of i
+and j is the element whose up-set is up[i] & up[j], found by a dict
+lookup, the meet likewise with down-sets, and j covers i when the interval
+up[i] & down[j] has two elements. [e, cox] is built downward from cox: the
+lower covers of v are the v t for the reflections t whose roots lie in
+Mov(v), and each down-set is the union of those of its lower covers. No
+suite walks the Weyl group; `weyl_group` stays as the reference the tests
+compare these against.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from . import fields
 from .fields import GF2
+from .ncmap import wide_of_nc
 from .quiver import Quiver, cartan_matrix, positive_roots, require_finite_type
 from .replab import DEFAULT_CAP, extension_root_closure, gen
 from .tors import IndecSet, enumerate_torsion_classes
@@ -38,16 +39,6 @@ from .weyl import (
 )
 
 
-def _mask(flags: Sequence[bool]) -> int:
-    """The int whose bit j is flags[j]."""
-    return int("".join(map("01".__getitem__, reversed(flags))) or "0", 2)
-
-
-def _flags(mask: int, n: int) -> tuple[bool, ...]:
-    """The first n bits of mask, bit 0 first."""
-    return tuple(map("1".__eq__, reversed(format(mask, f"0{n}b")))) if n else ()
-
-
 def _bits_of(mask: int) -> list[int]:
     """The positions of the set bits, ascending."""
     out = []
@@ -58,33 +49,37 @@ def _bits_of(mask: int) -> list[int]:
     return out
 
 
+def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """The n ints whose j-th has bit i exactly when rows[i] has bit j, for
+    rows of n bits: the down-sets of up-sets, and the up-sets of down-sets."""
+    columns = zip(*(format(row, f"0{n}b") for row in reversed(rows)))
+    return tuple(int("".join(col), 2) for col in columns)[::-1] if n else ()
+
+
 @dataclass(frozen=True)
 class FinitePoset:
-    """Elements are ids 0..n-1 carrying payloads; leq is the full relation."""
+    """Elements are ids 0..n-1 carrying payloads. The relation is held as
+    bitsets: bit j of up[i] and bit i of down[j] are set exactly when
+    i <= j."""
 
     payloads: tuple
-    leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
 
     @staticmethod
     def from_elements(elements: Sequence, leq_fn: Callable) -> "FinitePoset":
-        n = len(elements)
-        leq = tuple(
-            tuple(bool(leq_fn(elements[i], elements[j])) for j in range(n))
-            for i in range(n)
+        up = tuple(
+            int("".join("01"[bool(leq_fn(a, b))] for b in reversed(elements)), 2)
+            for a in elements
         )
-        p = FinitePoset(tuple(elements), leq)
+        p = FinitePoset(tuple(elements), up, _transpose(up, len(up)))
         p.validate()
         return p
-
-    @cached_property
-    def _sets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(up, down): bit j of up[i] and bit i of down[j] are leq[i][j]."""
-        return tuple(map(_mask, self.leq)), tuple(map(_mask, zip(*self.leq)))
 
     def validate(self) -> None:
         """Raise at the first defect in row order: for each i, reflexivity,
         then for j ascending antisymmetry and transitivity at (i, j)."""
-        up, down = self._sets
+        up, down = self.up, self.down
         n = len(up)
         for i, above in enumerate(up):
             bit = 1 << i
@@ -102,10 +97,10 @@ class FinitePoset:
         return len(self.payloads)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        up, down = self._sets
+        down = self.down
         return tuple(
             (i, j)
-            for i, above in enumerate(up)
+            for i, above in enumerate(self.up)
             for j in _bits_of(above)
             if (above & down[j]).bit_count() == 2
         )
@@ -140,7 +135,7 @@ class LatticeReport:
 def _bound_tables(p: FinitePoset) -> tuple[list[list[int | None]], list[list[int | None]]]:
     """joins[i][j], the m with up[m] == up[i] & up[j], and meets[i][j], the
     m with down[m] == down[i] & down[j]; None where there is no such m."""
-    up, down = p._sets
+    up, down = p.up, p.down
     by_up = {u: m for m, u in enumerate(up)}
     by_down = {d: m for m, d in enumerate(down)}
     joins = [[by_up.get(ui & uj) for uj in up] for ui in up]
@@ -161,7 +156,7 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
     chain, extremality, left-modular maximal chain, trimness."""
     p.validate()
     n = len(p)
-    up, down = p._sets
+    up, down = p.up, p.down
     joins, meets = _bound_tables(p)
     is_lattice = not any(None in row for row in joins + meets)
 
@@ -309,13 +304,14 @@ def noncrossing_partitions(q: Quiver) -> FinitePoset:
     """The interval [e, cox(Q)] in absolute order, as a poset whose payloads
     are the group elements, ordered by absolute length, then by matrix.
 
-    Built downward from cox along its cover relations: the lower covers of
-    v are the v t, t a reflection with l_T(v t) = l_T(v) - 1, and l_T(v t)
-    = l_T(t v) = rank(v - t). Every element of the interval is reached, and
-    only those. The down-set of v is v with the down-sets of its lower
-    covers, so leq is their closure."""
+    Built downward from cox along its cover relations. A reflection t lies
+    below v exactly when its root lies in Mov(v) = im(v - 1) (Brady-Watt),
+    and then v t is a lower cover of v: l_T(v t) = l_T(t v) = l_T(v) - 1.
+    `ncmap.wide_of_nc` finds those roots from one echelon form of v - 1.
+    Every element of the interval is reached, and only those. The down-set
+    of v is v with the down-sets of its lower covers."""
     require_finite_type(q)
-    reflections = [reflection(q, r) for r in positive_roots(q)]
+    reflections = {r: reflection(q, r) for r in positive_roots(q)}
     cox = coxeter_element(q)
     length = {cox: absolute_length(q, cox)}
     lower: dict[GroupElement, list[GroupElement]] = {}
@@ -323,11 +319,10 @@ def noncrossing_partitions(q: Quiver) -> FinitePoset:
     while frontier:
         below = []
         for v in frontier:
-            lv = length[v]
-            lower[v] = [v * t for t in reflections if _rank_of_difference(v, t) == lv - 1]
+            lower[v] = [v * reflections[r] for r in wide_of_nc(q, v)]
             for u in lower[v]:
                 if u not in length:
-                    length[u] = lv - 1
+                    length[u] = length[v] - 1
                     below.append(u)
         frontier = below
     elems = sorted(length, key=lambda w: (length[w], w.mat))
@@ -338,8 +333,7 @@ def noncrossing_partitions(q: Quiver) -> FinitePoset:
         for u in lower[w]:
             d |= down[index[u]]
         down.append(d)
-    leq = tuple(zip(*(_flags(d, len(elems)) for d in down)))
-    return FinitePoset(tuple(elems), leq)
+    return FinitePoset(tuple(elems), _transpose(down, len(down)), tuple(down))
 
 
 def c_sortable_elements(q: Quiver, c_word: tuple[int, ...]) -> Iterator[GroupElement]:

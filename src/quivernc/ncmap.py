@@ -32,8 +32,16 @@ from .quiver import (
     require_finite_type,
     simple_roots,
 )
-from .quiver import ext_dim_roots, hom_dim_roots
-from .tors import IndecSet, _wide_simples, a_of, torsion_closure, wide_simples
+from .tors import (
+    IndecSet,
+    _bits,
+    _ext_masks,
+    _hom_masks,
+    _wide_simples,
+    a_of,
+    torsion_closure,
+    wide_simples,
+)
 from .weyl import (
     GroupElement,
     _simple_pairing,
@@ -242,7 +250,8 @@ def complete_exceptional_sequences(q: Quiver) -> tuple[tuple[Root, ...], ...]:
     require_finite_type(q)
     if q.n > 4:
         raise OracleCapError("exceptional-sequence enumeration capped at rank 4")
-    roots = positive_roots(q)
+    roots, hom, ext, bits = positive_roots(q), _hom_masks(q), _ext_masks(q), _bits(q)
+    hits = {r: hom[r] | ext[r] for r in roots}  # bit p: Hom(r, p) or Ext(r, p) nonzero
     out: list[tuple[Root, ...]] = []
 
     def extend(prefix: tuple[Root, ...]) -> None:
@@ -252,10 +261,7 @@ def complete_exceptional_sequences(q: Quiver) -> tuple[tuple[Root, ...], ...]:
         for r in roots:
             if r in prefix:
                 continue
-            if all(
-                hom_dim_roots(q, r, p) == 0 and ext_dim_roots(q, r, p) == 0
-                for p in prefix
-            ):
+            if not any(hits[r] & bits[p] for p in prefix):
                 extend(prefix + (r,))
 
     extend(())

@@ -14,7 +14,6 @@ from functools import lru_cache
 from operator import mul
 
 from .quiver import Quiver, Root, positive_roots, require_finite_type
-from .quiver import ext_dim_roots, hom_dim_roots
 
 IndecSet = frozenset  # of Root
 
@@ -237,20 +236,13 @@ def _wide_simples(q: Quiver, a: IndecSet) -> tuple[Root, ...]:
         x for x in a if not any(tuple(i - j for i, j in zip(x, y)) in a for y in a)
     ]
     # x must precede y whenever x "hits" y (Hom(x,y) or Ext(x,y) nonzero)
-    must_precede = {
-        (x, y)
-        for x in simples
-        for y in simples
-        if x != y
-        and (hom_dim_roots(q, x, y) > 0 or ext_dim_roots(q, x, y) > 0)
-    }
+    hom, ext, bits = _hom_masks(q), _ext_masks(q), _bits(q)
+    hits = {x: (hom[x] | ext[x]) & ~bits[x] for x in simples}
     order: list[Root] = []
     remaining = set(simples)
     while remaining:
         ready = sorted(
-            x
-            for x in remaining
-            if not any((y, x) in must_precede for y in remaining if y != x)
+            x for x in remaining if not any(hits[y] & bits[x] for y in remaining)
         )
         if not ready:
             raise ValueError("no exceptional order exists; input is not wide")
@@ -263,8 +255,5 @@ def torsion_free_complement(q: Quiver, t: IndecSet) -> IndecSet:
     """F = {X : Hom(Y, X) = 0 for all Y in T}."""
     t = frozenset(t)
     _require_torsion_class(q, t)
-    return frozenset(
-        x
-        for x in positive_roots(q)
-        if all(hom_dim_roots(q, y, x) == 0 for y in t)
-    )
+    reached = _union(_hom_masks(q), t)
+    return frozenset(x for x, bit in _bits(q).items() if not bit & reached)

@@ -187,7 +187,7 @@ def suite_lattice(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
         rep.check(
             s in class_set, lambda: f"splitting class {_roots_str(s)} is not a torsion class"
         )
-    if q.n <= 3:
+    if q.n <= 3 and analysis.is_lattice:  # joins and meets exist
         idx = {p: i for i, p in enumerate(cp.payloads)}
         joins, meets = latt._bound_tables(cp)
         # The closure-based join must agree with the poset-theoretic one.
@@ -205,10 +205,8 @@ def suite_lattice(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
         # Splitting classes are left modular (the input to trimness).
         for s in chain:
             x = idx[s]
-            for y in range(len(cp)):
-                for z in range(len(cp)):
-                    if y == z or not cp.leq[y][z]:
-                        continue
+            for y, above in enumerate(cp.up):
+                for z in latt._bits_of(above & ~(1 << y)):
                     rep.check(
                         meets[joins[y][x]][z] == joins[y][meets[x][z]],
                         lambda: f"left-modularity fails at S={_roots_str(s)}",
@@ -308,7 +306,7 @@ def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
     # The order isomorphism pairs wide subcategories under inclusion with
     # NC_Q under absolute order (inclusion of torsion classes is the
     # Cambrian order, a different poset).
-    # Absolute order comes from the table of the NC poset; an image outside
+    # Absolute order comes from the up-sets of the NC poset; an image outside
     # NC falls back to `absolute_leq`, so it shows up as a failed check.
     classes = tors.enumerate_torsion_classes(q)
     wides = {t: tors.a_of(q, t) for t in classes}
@@ -325,7 +323,7 @@ def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
         for t2 in classes:
             v = nc_of[t2]
             j = nc_index.get(v)
-            below = nc.leq[i][j] if i is not None and j is not None else absolute_leq(q, u, v)
+            below = absolute_leq(q, u, v) if i is None or j is None else nc.up[i] >> j & 1 == 1
             rep.check(
                 (wides[t1] <= wides[t2]) == below,
                 lambda: f"order isomorphism fails at"

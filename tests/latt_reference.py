@@ -17,17 +17,22 @@ from quivernc.latt import (
 from quivernc.weyl import coxeter_element, is_c_sortable
 
 
+def leq(p: FinitePoset, i: int, j: int) -> bool:
+    """i <= j, read from bit j of the up-set of i."""
+    return bool(p.up[i] >> j & 1)
+
+
 def validate(p: FinitePoset) -> None:
     n = len(p.payloads)
     for i in range(n):
-        if not p.leq[i][i]:
+        if not leq(p, i, i):
             raise ValueError("relation is not reflexive; not a poset")
         for j in range(n):
-            if i != j and p.leq[i][j] and p.leq[j][i]:
+            if i != j and leq(p, i, j) and leq(p, j, i):
                 raise ValueError("relation is not antisymmetric; not a poset")
-            if p.leq[i][j]:
+            if leq(p, i, j):
                 for k in range(n):
-                    if p.leq[j][k] and not p.leq[i][k]:
+                    if leq(p, j, k) and not leq(p, i, k):
                         raise ValueError("relation is not transitive; not a poset")
 
 
@@ -36,10 +41,10 @@ def covers(p: FinitePoset) -> tuple[tuple[int, int], ...]:
     out = []
     for i in range(n):
         for j in range(n):
-            if i == j or not p.leq[i][j]:
+            if i == j or not leq(p, i, j):
                 continue
             if not any(
-                k != i and k != j and p.leq[i][k] and p.leq[k][j] for k in range(n)
+                k != i and k != j and leq(p, i, k) and leq(p, k, j) for k in range(n)
             ):
                 out.append((i, j))
     return tuple(out)
@@ -52,12 +57,12 @@ def bound_tables(p: FinitePoset):
     meets = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            ub = [k for k in range(n) if p.leq[i][k] and p.leq[j][k]]
-            least = [m for m in ub if all(p.leq[m][k] for k in ub)]
+            ub = [k for k in range(n) if leq(p, i, k) and leq(p, j, k)]
+            least = [m for m in ub if all(leq(p, m, k) for k in ub)]
             if len(least) == 1:
                 joins[i][j] = joins[j][i] = least[0]
-            lb = [k for k in range(n) if p.leq[k][i] and p.leq[k][j]]
-            greatest = [m for m in lb if all(p.leq[k][m] for k in lb)]
+            lb = [k for k in range(n) if leq(p, k, i) and leq(p, k, j)]
+            greatest = [m for m in lb if all(leq(p, k, m) for k in lb)]
             if len(greatest) == 1:
                 meets[i][j] = meets[j][i] = greatest[0]
     return joins, meets
@@ -73,16 +78,16 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
         for j in range(n)
     )
 
-    minima = [i for i in range(n) if all(p.leq[i][j] for j in range(n))]
-    maxima = [i for i in range(n) if all(p.leq[j][i] for j in range(n))]
+    minima = [i for i in range(n) if all(leq(p, i, j) for j in range(n))]
+    maxima = [i for i in range(n) if all(leq(p, j, i) for j in range(n))]
 
     ji = []
     mi = []
     for x in range(n):
-        below = [y for y in range(n) if y != x and p.leq[y][x]]
+        below = [y for y in range(n) if y != x and leq(p, y, x)]
         if x not in minima and not any(joins[y][z] == x for y in below for z in below):
             ji.append(x)
-        above = [y for y in range(n) if y != x and p.leq[x][y]]
+        above = [y for y in range(n) if y != x and leq(p, x, y)]
         if x not in maxima and not any(meets[y][z] == x for y in above for z in above):
             mi.append(x)
 
@@ -90,7 +95,7 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
     for a, b in covers(p):
         succ[a].append(b)
     depth = [0] * n
-    for i in sorted(range(n), key=lambda i: sum(p.leq[j][i] for j in range(n))):
+    for i in sorted(range(n), key=lambda i: sum(leq(p, j, i) for j in range(n))):
         for j in succ[i]:
             depth[j] = max(depth[j], depth[i] + 1)
     longest = max(depth) if n else 0
@@ -106,7 +111,7 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
                 meets[joins[y][x]][z] == joins[y][meets[x][z]]
                 for y in range(n)
                 for z in range(n)
-                if y != z and p.leq[y][z]
+                if y != z and leq(p, y, z)
             )
         }
         bottom, top = minima[0], maxima[0]
@@ -141,8 +146,7 @@ def noncrossing_partitions_by_weyl_filter(q) -> FinitePoset:
     cox = coxeter_element(q)
     elems = [w for w in weyl_group(q) if absolute_leq(q, w, cox)]
     elems.sort(key=lambda w: (absolute_length(q, w), w.mat))
-    leq = tuple(tuple(absolute_leq(q, u, v) for v in elems) for u in elems)
-    return FinitePoset(tuple(elems), leq)
+    return FinitePoset.from_elements(elems, lambda u, v: absolute_leq(q, u, v))
 
 
 def c_sortables_by_weyl_filter(q, c_word) -> set:

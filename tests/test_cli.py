@@ -16,6 +16,7 @@ from quivernc import (
     enumerate_support_tilting,
     is_c_sortable,
     latt,
+    ncmap,
     parse_quiver,
     positive_roots,
     replab,
@@ -330,6 +331,15 @@ class TestHomSolveFree:
         monkeypatch.setattr(weyl.GroupElement, "__mul__", refuse)
         code, out, _ = run(capsys, "enumerate", "--what", "sortables", D4)
         assert code == 0 and len(out.splitlines()) == 50
+
+    def test_table_builds_no_sortable_matrix(self, capsys, monkeypatch):
+        """The sortable column prints the c-sorting word of the torsion class."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("table built a sortable element from its word")
+
+        monkeypatch.setattr(ncmap, "word_to_element", refuse)
+        code, out, _ = run(capsys, "table", D4)
+        assert code == 0 and len(out.splitlines()) == 51
 
     @pytest.mark.parametrize("src,dst,obj,size", [
         ("support", "torsion", [[0, 0, 1, 0], [0, 1, 1, 0], [0, 1, 1, 1]], 5),

@@ -165,6 +165,19 @@ def test_nc_by_covers_matches_weyl_filter(q):
     assert noncrossing_partitions(q) == latt_reference.noncrossing_partitions_by_weyl_filter(q)
 
 
+def test_nc_takes_one_echelon_per_element(monkeypatch):
+    """NC's lower covers come from one echelon form of v - 1 per element
+    (Mov), and l_T(cox) from one more: no rank per (element, reflection)."""
+    q = parse_quiver(D5)
+    noncrossing_partitions.cache_clear()
+    absolute_length.cache_clear()
+    calls = []
+    echelon = fields.int_echelon
+    monkeypatch.setattr(fields, "int_echelon", lambda rows: calls.append(rows) or echelon(rows))
+    assert len(noncrossing_partitions(q)) == 182
+    assert len(calls) == 182 + 1
+
+
 @pytest.mark.parametrize("q", LATTICE_QUIVERS)
 def test_sortables_by_induction_match_weyl_filter(q):
     cword = coxeter_element_word(q)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from quivernc import latt, ncmap, parse_quiver, tors, verify
+from quivernc import latt, ncmap, parse_quiver, positive_roots, tors, verify
 from quivernc.cli import main
 
 A2 = "vertices 2\narrow 2 1"
@@ -110,3 +110,41 @@ def test_a_dropped_sortable_fails(capsys, monkeypatch, suite, message):
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith(f"{suite}: FAIL") and message in out
+
+
+@pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
+def test_a_cambrian_poset_without_its_top_fails_lattice(capsys, monkeypatch, text):
+    """Dropping the class of every root leaves a poset with no join for its
+    coatoms."""
+    cambrian_poset = latt.cambrian_poset
+
+    def without_top(q):
+        everything = frozenset(positive_roots(q))
+        kept = [t for t in cambrian_poset(q).payloads if t != everything]
+        return latt.FinitePoset.from_elements(kept, lambda a, b: a <= b)
+
+    monkeypatch.setattr(latt, "cambrian_poset", without_top)
+    code = main(["verify", "--suite=lattice", text])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("lattice: FAIL") and "Cambrian poset is not a lattice" in out
+
+
+@pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
+def test_a_cleared_nc_comparability_fails_reading(capsys, monkeypatch, text):
+    """Clearing e <= cox(Q), the first and last elements of NC, breaks the
+    isomorphism at the zero class against the class of every root."""
+    noncrossing_partitions = verify.noncrossing_partitions
+
+    def without_e_below_cox(q):
+        nc = noncrossing_partitions(q)
+        last = len(nc) - 1
+        up = (nc.up[0] & ~(1 << last),) + nc.up[1:]
+        down = nc.down[:last] + (nc.down[last] & ~1,)
+        return latt.FinitePoset(nc.payloads, up, down)
+
+    monkeypatch.setattr(verify, "noncrossing_partitions", without_e_below_cox)
+    code = main(["verify", "--suite=reading", text])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("reading: FAIL") and out.count("order isomorphism fails") == 1
