@@ -5,13 +5,18 @@ Reading's induction, meet/join of torsion classes, principal
 (join-irreducible) classes and the left-modular splitting chain.
 
 A poset's relation is its bitsets: each element's up-set and down-set is
-an int, and a `FinitePoset` holds these beside its payloads. The join of i
-and j is the element whose up-set is up[i] & up[j], found by a dict
-lookup, the meet likewise with down-sets, and j covers i when the interval
-up[i] & down[j] has two elements. [e, cox] is built downward from cox: the
-lower covers of v are the v t for the reflections t whose roots lie in
-Mov(v), and each down-set is the union of those of its lower covers. No
-suite walks the Weyl group; `weyl_group` stays as the reference the tests
+an int, and a `FinitePoset` holds these beside its payloads. j covers i
+when the interval up[i] & down[j] has two elements. Joins and meets are
+looked up on demand (`bounds`): the join of i and j is the element whose
+up-set is up[i] & up[j], the meet likewise with down-sets. Every lattice
+fact is read from the covers: the lattice test joins the upper covers of
+each element (Bjorner-Edelman-Ziegler), irreducibility pairs lower or
+upper covers, and left modularity is tested on cover pairs
+(McNamara-Thomas). [e, cox] is built downward from cox: the lower covers
+of v are the v s_r, a rank-one update of v, for the roots r in Mov(v),
+and each down-set is the union of those of its lower covers. The Cambrian
+up-sets are ANDs over the classes that hold each root. No suite
+walks the Weyl group; `weyl_group` stays as the reference the tests
 compare these against.
 """
 
@@ -19,13 +24,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, reduce
+from itertools import combinations
+from operator import and_, mul
 from typing import Callable, Iterator, Sequence
 
 from . import fields
 from .fields import GF2
 from .ncmap import wide_of_nc
-from .quiver import Quiver, cartan_matrix, positive_roots, require_finite_type
+from .quiver import Quiver, Root, cartan_matrix, positive_roots, require_finite_type
 from .replab import DEFAULT_CAP, extension_root_closure, gen
 from .tors import IndecSet, enumerate_torsion_classes
 from .weyl import (
@@ -34,7 +41,6 @@ from .weyl import (
     _validate_word,
     ar_linear_order,
     coxeter_element,
-    reflection,
     simple_reflection,
 )
 
@@ -132,45 +138,52 @@ class LatticeReport:
         )
 
 
-def _bound_tables(p: FinitePoset) -> tuple[list[list[int | None]], list[list[int | None]]]:
-    """joins[i][j], the m with up[m] == up[i] & up[j], and meets[i][j], the
-    m with down[m] == down[i] & down[j]; None where there is no such m."""
+def bounds(p: FinitePoset) -> tuple[Callable, Callable]:
+    """join(i, j), the m with up[m] == up[i] & up[j], and meet(i, j), the m
+    with down[m] == down[i] & down[j]; None where there is no such m."""
     up, down = p.up, p.down
     by_up = {u: m for m, u in enumerate(up)}
     by_down = {d: m for m, d in enumerate(down)}
-    joins = [[by_up.get(ui & uj) for uj in up] for ui in up]
-    meets = [[by_down.get(di & dj) for dj in down] for di in down]
-    return joins, meets
+    return (lambda i, j: by_up.get(up[i] & up[j])), (lambda i, j: by_down.get(down[i] & down[j]))
 
 
-def _reducible(table: list[list[int | None]]) -> set[int]:
-    """The x that are table[y][z] for some y, z both other than x."""
-    return {
-        m for y, row in enumerate(table) for z, m in enumerate(row)
-        if m is not None and m != y and m != z
-    }
+def _is_left_modular(x: int, covers, join, meet) -> bool:
+    """No cover y < z of a lattice has x ^ y = x ^ z and x v y = x v z."""
+    return not any(meet(x, y) == meet(x, z) and join(x, y) == join(x, z) for y, z in covers)
 
 
 def lattice_analyze(p: FinitePoset) -> LatticeReport:
-    """Exhaustive definition-level lattice analytics: irreducibles, longest
-    chain, extremality, left-modular maximal chain, trimness."""
+    """Lattice analytics from the cover relations: irreducibles, longest
+    chain, extremality, left-modular maximal chain, trimness.
+
+    A bounded poset is a lattice when every two upper covers of a common
+    element have a join (Bjorner-Edelman-Ziegler, Lemma 2.1). x is the join
+    of two elements below it exactly when it is the join of two of its
+    lower covers, and dually for meets. x is left modular when no y < z
+    has x ^ y = x ^ z and x v y = x v z (McNamara-Thomas); both sides are
+    monotone along a chain from y to z, so cover pairs y < z suffice."""
     p.validate()
     n = len(p)
     up, down = p.up, p.down
-    joins, meets = _bound_tables(p)
-    is_lattice = not any(None in row for row in joins + meets)
+    join, meet = bounds(p)
+    covers = p.covers()
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for a, b in covers:
+        succ[a].append(b)
+        pred[b].append(a)
 
     every = (1 << n) - 1
     minima = [i for i in range(n) if up[i] == every]
     maxima = [i for i in range(n) if down[i] == every]
-    join_reducible, meet_reducible = _reducible(joins), _reducible(meets)
-    ji = [x for x in range(n) if x not in minima and x not in join_reducible]
-    mi = [x for x in range(n) if x not in maxima and x not in meet_reducible]
+    is_lattice = n == 0 or (bool(minima and maxima) and all(
+        join(a, b) is not None for above in succ for a, b in combinations(above, 2)
+    ))
+    ji = [x for x in range(n) if x not in minima
+          and not any(up[a] & up[b] == up[x] for a, b in combinations(pred[x], 2))]
+    mi = [x for x in range(n) if x not in maxima
+          and not any(down[a] & down[b] == down[x] for a, b in combinations(succ[x], 2))]
 
-    covers = p.covers()
-    succ: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in covers:
-        succ[a].append(b)
     depth = [0] * n
     order = sorted(range(n), key=lambda i: down[i].bit_count())
     for i in order:
@@ -182,32 +195,22 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
 
     chain: tuple[int, ...] | None = None
     if is_lattice and n:
-        strictly_above = [_bits_of(up[y] & ~(1 << y)) for y in range(n)]
+        top = maxima[0]
 
-        def left_modular(x: int) -> bool:
-            """(y v x) ^ z == y v (x ^ z) for every y < z."""
-            jx, mx = joins[x], meets[x]
-            return all(
-                list(map(meets[jx[y]].__getitem__, zs))
-                == list(map(joins[y].__getitem__, map(mx.__getitem__, zs)))
-                for y, zs in enumerate(strictly_above)
-            )
+        left_modular = cache(lambda x: _is_left_modular(x, covers, join, meet))
 
-        lmset = {x for x in range(n) if left_modular(x)}
-        bottom, top = minima[0], maxima[0]
-
-        def dfs(node: int, acc: list[int]) -> tuple[int, ...] | None:
-            if node == top:
-                return tuple(acc)
-            for j in succ[node]:
-                if j in lmset:
-                    res = dfs(j, acc + [j])
-                    if res is not None:
-                        return res
+        @cache
+        def chain_from(x: int) -> tuple[int, ...] | None:
+            """The first left-modular chain from x up to the top, in the
+            order of the covers."""
+            if x == top:
+                return (x,)
+            for y in succ[x]:
+                if left_modular(y) and (rest := chain_from(y)) is not None:
+                    return (x,) + rest
             return None
 
-        if bottom in lmset:
-            chain = dfs(bottom, [bottom])
+        chain = chain_from(minima[0])  # the bottom is left modular in every lattice
 
     return LatticeReport(
         is_lattice=is_lattice,
@@ -256,9 +259,16 @@ def splitting_chain(q: Quiver) -> tuple[IndecSet, ...]:
 
 @lru_cache(maxsize=None)
 def cambrian_poset(q: Quiver) -> FinitePoset:
-    """Torsion classes ordered by inclusion."""
+    """Torsion classes ordered by inclusion, from the classes that hold
+    each root: T_j contains T_i exactly when it holds every root of T_i."""
     classes = enumerate_torsion_classes(q)
-    return FinitePoset.from_elements(classes, lambda a, b: a <= b)
+    holding = dict.fromkeys(positive_roots(q), 0)
+    for i, t in enumerate(classes):
+        for r in t:
+            holding[r] |= 1 << i
+    every = (1 << len(classes)) - 1
+    up = tuple(reduce(and_, map(holding.get, t), every) for t in classes)
+    return FinitePoset(classes, up, _transpose(up, len(up)))
 
 
 @lru_cache(maxsize=None)
@@ -299,6 +309,13 @@ def absolute_leq(q: Quiver, u: GroupElement, v: GroupElement) -> bool:
     return absolute_length(q, u) + _rank_of_difference(v, u) == absolute_length(q, v)
 
 
+def _times_reflection(v: GroupElement, r: Root, br: list[int]) -> GroupElement:
+    """v s_r = v - (v r)(B r)^T, a rank-one update; br is B r."""
+    return GroupElement(tuple(
+        tuple(x - a * y for x, y in zip(row, br)) for row, a in zip(v.mat, v.apply(r))
+    ))
+
+
 @lru_cache(maxsize=None)
 def noncrossing_partitions(q: Quiver) -> FinitePoset:
     """The interval [e, cox(Q)] in absolute order, as a poset whose payloads
@@ -311,7 +328,8 @@ def noncrossing_partitions(q: Quiver) -> FinitePoset:
     Every element of the interval is reached, and only those. The down-set
     of v is v with the down-sets of its lower covers."""
     require_finite_type(q)
-    reflections = {r: reflection(q, r) for r in positive_roots(q)}
+    b = cartan_matrix(q)
+    pairings = {r: [sum(map(mul, row, r)) for row in b] for r in positive_roots(q)}  # B r
     cox = coxeter_element(q)
     length = {cox: absolute_length(q, cox)}
     lower: dict[GroupElement, list[GroupElement]] = {}
@@ -319,7 +337,7 @@ def noncrossing_partitions(q: Quiver) -> FinitePoset:
     while frontier:
         below = []
         for v in frontier:
-            lower[v] = [v * reflections[r] for r in wide_of_nc(q, v)]
+            lower[v] = [_times_reflection(v, r, pairings[r]) for r in wide_of_nc(q, v)]
             for u in lower[v]:
                 if u not in length:
                     length[u] = length[v] - 1

@@ -9,7 +9,7 @@ system (b, 2 rho) = 2 ht(b) for every root b, so z_v = (w^-1 e_v, 2 rho) is
 -2 exactly when w^-1 e_v is a negative simple root -e_u; then s_v w = w s_u
 and s_v is the cover reflection of w at the right descent u. The braid
 action reflects root vectors, s_y(x) = x - (y, x) y, and reads the
-exceptional condition from one Euler-form table per quiver.
+exceptional condition from the per-quiver Hom and Ext bitsets.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .quiver import (
     Vertex,
     cartan_matrix,
     coxeter_element_word,
-    euler_form,
     positive_roots,
     require_finite_type,
     simple_roots,
@@ -175,26 +174,14 @@ def _reading_cl(q: Quiver, y: tuple[int, ...], c_word: tuple[Vertex, ...]) -> In
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def _euler_table(q: Quiver) -> dict[tuple[Root, Root], int]:
-    """<a, b> for every pair of positive roots."""
-    roots = positive_roots(q)
-    return {(a, b): euler_form(q, a, b) for a in roots for b in roots}
-
-
 def is_exceptional_sequence(q: Quiver, seq: tuple[Root, ...]) -> bool:
     """No backward Hom or Ext: for i < j, Hom(X_j, X_i) = Ext(X_j, X_i) = 0,
-    that is <X_j, X_i> = 0, since at most one of the two is nonzero between
-    indecomposables of a Dynkin quiver (see `quiver.hom_dim_roots`)."""
+    read from the per-quiver Hom and Ext bitsets."""
     require_finite_type(q)
-    euler = _euler_table(q)
-    if any((r, r) not in euler for r in seq):
+    hom, ext, bits = _hom_masks(q), _ext_masks(q), _bits(q)
+    if any(r not in bits for r in seq) or len(set(seq)) != len(seq):
         return False
-    if len(set(seq)) != len(seq):
-        return False
-    return all(
-        euler[seq[j], seq[i]] == 0 for i in range(len(seq)) for j in range(i + 1, len(seq))
-    )
+    return not any((hom[y] | ext[y]) & bits[x] for i, x in enumerate(seq) for y in seq[i + 1:])
 
 
 def _positive(root: tuple[int, ...]) -> Root:

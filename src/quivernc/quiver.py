@@ -174,14 +174,19 @@ def _check_length(q: Quiver, v: DimVector) -> None:
         raise ValueError(f"dimension vector of length {len(v)}, expected {q.n}")
 
 
+def euler_row(q: Quiver, a: DimVector) -> tuple[int, ...]:
+    """The coefficients of the functional <a, .> of the Euler form."""
+    row = list(a)
+    for s, t in q.arrows:
+        row[t - 1] -= a[s - 1]
+    return tuple(row)
+
+
 def euler_form(q: Quiver, a: DimVector, b: DimVector) -> int:
     """<a,b> = sum_i a_i b_i - sum_{i->j} a_i b_j."""
     _check_length(q, a)
     _check_length(q, b)
-    total = sum(x * y for x, y in zip(a, b))
-    for s, t in q.arrows:
-        total -= a[s - 1] * b[t - 1]
-    return total
+    return sum(x * y for x, y in zip(euler_row(q, a), b))
 
 
 def hom_dim_roots(q: Quiver, a: Root, b: Root) -> int:

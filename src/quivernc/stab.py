@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .fields import GF2
-from .quiver import Quiver, Root, Vertex, positive_roots, require_finite_type, support
+from .quiver import Quiver, Root, Vertex, euler_row, positive_roots, require_finite_type, support
 from .replab import (
     DEFAULT_CAP,
     Representation,
@@ -25,14 +25,6 @@ Stability = tuple  # of int, one coefficient per vertex
 
 def theta_value(theta: Stability, v: tuple[int, ...]) -> int:
     return sum(c * x for c, x in zip(theta, v))
-
-
-def euler_row(q: Quiver, t: Root) -> Stability:
-    """Coefficients of the functional <t, .> of the Euler form."""
-    coeffs = list(t)
-    for s, w in q.arrows:
-        coeffs[w - 1] -= t[s - 1]
-    return tuple(coeffs)
 
 
 def default_coefficients(q: Quiver, c: IndecSet) -> tuple[dict[Root, int], dict[Vertex, int]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .quiver import Quiver, Root, positive_roots, require_finite_type
+from .quiver import Quiver, Root, euler_row, positive_roots, require_finite_type
 
 IndecSet = frozenset  # of Root
 
@@ -62,9 +62,7 @@ def _euler_masks(q: Quiver, sign: int) -> dict[Root, int]:
     roots = positive_roots(q)
     out = {}
     for a in roots:
-        row = list(a)
-        for s, t in q.arrows:
-            row[t - 1] -= a[s - 1]
+        row = euler_row(q, a)
         out[a] = _mask(q, (b for b in roots if sign * sum(map(mul, row, b)) > 0))
     return out
 

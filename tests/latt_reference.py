@@ -68,6 +68,28 @@ def bound_tables(p: FinitePoset):
     return joins, meets
 
 
+def is_left_modular(p: FinitePoset, x: int) -> bool:
+    """(y v x) ^ z == y v (x ^ z) for every y < z, in a lattice."""
+    joins, meets = bound_tables(p)
+    n = len(p)
+    return all(
+        meets[joins[y][x]][z] == joins[y][meets[x][z]]
+        for y in range(n)
+        for z in range(n)
+        if y != z and leq(p, y, z)
+    )
+
+
+def as_tables(p: FinitePoset, join, meet):
+    """The on-demand join(i, j) and meet(i, j) of `latt.bounds` as the two
+    n x n tables that `bound_tables` returns."""
+    n = len(p)
+    return (
+        [[join(i, j) for j in range(n)] for i in range(n)],
+        [[meet(i, j) for j in range(n)] for i in range(n)],
+    )
+
+
 def lattice_analyze(p: FinitePoset) -> LatticeReport:
     validate(p)
     n = len(p)
@@ -104,16 +126,7 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
 
     chain = None
     if is_lattice and n:
-        lmset = {
-            x
-            for x in range(n)
-            if all(
-                meets[joins[y][x]][z] == joins[y][meets[x][z]]
-                for y in range(n)
-                for z in range(n)
-                if y != z and leq(p, y, z)
-            )
-        }
+        lmset = {x for x in range(n) if is_left_modular(p, x)}
         bottom, top = minima[0], maxima[0]
 
         def dfs(node, acc):

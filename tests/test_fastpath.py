@@ -44,9 +44,9 @@ from quivernc.cli import (
 from quivernc.cluster import _orth_masks, all_cc_indecs, cc_ext_orthogonal, mutate
 from quivernc.fields import GF2, QQ
 from quivernc.latt import (
-    _bound_tables,
     absolute_length,
     absolute_leq,
+    bounds,
     c_sortable_elements,
     cambrian_poset,
     lattice_analyze,
@@ -195,7 +195,7 @@ def test_bitset_lattice_layer_matches_list_scans(q):
         p.validate()
         latt_reference.validate(p)
         assert p.covers() == latt_reference.covers(p)
-        assert _bound_tables(p) == latt_reference.bound_tables(p)
+        assert latt_reference.as_tables(p, *bounds(p)) == latt_reference.bound_tables(p)
         assert lattice_analyze(p) == latt_reference.lattice_analyze(p)
 
 

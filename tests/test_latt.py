@@ -8,8 +8,9 @@ import latt_reference
 from quivernc import enumerate_torsion_classes, positive_roots
 from quivernc.latt import (
     FinitePoset,
-    _bound_tables,
+    _is_left_modular,
     _transpose,
+    bounds,
     cambrian_poset,
     lattice_analyze,
     noncrossing_partitions,
@@ -66,6 +67,39 @@ def _closure(n, leq):
     return tuple(map(tuple, leq))
 
 
+@st.composite
+def posets(draw, max_size, bounded=False):
+    """The relation of a random poset on up to max_size elements: random
+    edges kept where they climb a random ranking, closed. When bounded, a
+    new bottom and top go around it, at ids 0 and n + 1."""
+    n = draw(st.integers(0, max_size))
+    rank = draw(st.permutations(range(n)))
+    edges = _relation(n, draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    leq = _closure(n, tuple(
+        tuple(edges[i][j] and rank[i] < rank[j] for j in range(n)) for i in range(n)
+    ))
+    if bounded:
+        leq = tuple(
+            tuple(i == 0 or j == n + 1 or (0 < i <= n and 0 < j <= n and leq[i - 1][j - 1])
+                  for j in range(n + 2))
+            for i in range(n + 2)
+        )
+    return leq
+
+
+@st.composite
+def lattices(draw):
+    """A random lattice: subsets of a set of up to four points, closed under
+    intersection and holding the whole set, ordered by inclusion, in a
+    random order of ids."""
+    k = draw(st.integers(0, 4))
+    family = {(1 << k) - 1} | set(draw(st.lists(st.integers(0, (1 << k) - 1), max_size=8)))
+    while (more := {a & b for a in family for b in family} - family):
+        family |= more
+    elems = draw(st.permutations(sorted(family)))
+    return FinitePoset.from_elements(elems, lambda a, b: a & b == a)
+
+
 class TestBitsetsAgainstListScans:
     """The bitset lattice layer against the definitions scanned pair by
     pair, on random relations: non-posets, posets, non-lattices."""
@@ -85,18 +119,32 @@ class TestBitsetsAgainstListScans:
             lambda: latt_reference.validate(unchecked))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(n=st.integers(0, 7), data=st.data())
-    def test_analysis_matches_on_random_posets(self, n, data):
-        rank = data.draw(st.permutations(range(n)))
-        flags = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-        edges = _relation(n, flags)  # kept only where they climb the ranking
-        leq = _closure(n, tuple(
-            tuple(edges[i][j] and rank[i] < rank[j] for j in range(n)) for i in range(n)
-        ))
+    @given(leq=posets(7))
+    def test_analysis_matches_on_random_posets(self, leq):
+        self._check_analysis(leq)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(leq=posets(7, bounded=True))
+    def test_analysis_matches_on_random_bounded_posets(self, leq):
+        """Bounded, so the lattice test reaches its upper-cover joins, and
+        fails there on the non-lattices."""
+        self._check_analysis(leq)
+
+    @staticmethod
+    def _check_analysis(leq):
+        n = len(leq)
         p = _from_relation(n, leq)
         assert p.down == tuple(sum(leq[i][j] << i for i in range(n)) for j in range(n))
         assert p.covers() == latt_reference.covers(p)
-        assert _bound_tables(p) == latt_reference.bound_tables(p)
+        assert latt_reference.as_tables(p, *bounds(p)) == latt_reference.bound_tables(p)
+        assert lattice_analyze(p) == latt_reference.lattice_analyze(p)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(p=lattices())
+    def test_left_modularity_on_covers_matches_all_pairs(self, p):
+        covers, (join, meet) = p.covers(), bounds(p)
+        assert [_is_left_modular(x, covers, join, meet) for x in range(len(p))] == [
+            latt_reference.is_left_modular(p, x) for x in range(len(p))]
         assert lattice_analyze(p) == latt_reference.lattice_analyze(p)
 
 
@@ -130,6 +178,18 @@ class TestLatticeAnalyze:
             lambda a, b: a == b or (a in (0,) and b in (2, 3)) or (a == 1 and b in (2, 3)),
         )
         assert not lattice_analyze(p).is_lattice
+
+    def test_bounded_non_lattice(self):
+        # 0 < a, b < c, d < 1: a and b have no join, c and d no meet
+        height = {"0": 0, "a": 1, "b": 1, "c": 2, "d": 2, "1": 3}
+        p = FinitePoset.from_elements(
+            tuple(height), lambda x, y: x == y or height[x] < height[y]
+        )
+        join, meet = bounds(p)
+        assert join(1, 2) is None and meet(3, 4) is None
+        report = lattice_analyze(p)
+        assert not report.is_lattice and report.left_modular_chain is None
+        assert report == latt_reference.lattice_analyze(p)
 
     def test_cambrian_a2(self, a2):
         cp = cambrian_poset(a2)
@@ -181,11 +241,11 @@ class TestMeetJoin:
     def test_join_and_meet_match_lattice_tables(self, fix, request):
         q = request.getfixturevalue(fix)
         cp = cambrian_poset(q)
-        joins, meets = _bound_tables(cp)
+        join, meet = bounds(cp)
         for i, t1 in enumerate(cp.payloads):
             for j, t2 in enumerate(cp.payloads):
-                assert torsion_join(q, t1, t2) == cp.payloads[joins[i][j]]
-                assert t1 & t2 == cp.payloads[meets[i][j]]
+                assert torsion_join(q, t1, t2) == cp.payloads[join(i, j)]
+                assert t1 & t2 == cp.payloads[meet(i, j)]
 
     def test_join_output_is_torsion_class(self, a3):
         classes = enumerate_torsion_classes(a3)
@@ -252,14 +312,14 @@ class TestSplittingChain:
     def test_left_modularity(self, fix, request):
         q = request.getfixturevalue(fix)
         cp = cambrian_poset(q)
-        joins, meets = _bound_tables(cp)
+        join, meet = bounds(cp)
         idx = {p: i for i, p in enumerate(cp.payloads)}
         for s in splitting_chain(q):
             x = idx[s]
             for y in range(len(cp)):
                 for z in range(len(cp)):
                     if y != z and cp.up[y] >> z & 1:
-                        assert meets[joins[y][x]][z] == joins[y][meets[x][z]]
+                        assert meet(join(y, x), z) == join(y, meet(x, z))
 
     def test_chain_is_left_modular_maximal_chain(self, a3):
         cp = cambrian_poset(a3)

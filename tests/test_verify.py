@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from quivernc import latt, ncmap, parse_quiver, positive_roots, tors, verify
+from quivernc import coxeter_element, latt, ncmap, parse_quiver, positive_roots, tors, verify
 from quivernc.cli import main
 
 A2 = "vertices 2\narrow 2 1"
@@ -148,3 +148,22 @@ def test_a_cleared_nc_comparability_fails_reading(capsys, monkeypatch, text):
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("reading: FAIL") and out.count("order isomorphism fails") == 1
+
+
+@pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
+def test_an_image_outside_nc_fails_reading(capsys, monkeypatch, text):
+    """The zero class sent to cox(Q)^2, which lies outside [e, cox(Q)]: the
+    order isomorphism reads absolute order from NC alone, so the image is
+    below nothing, its own diagonal pair included."""
+    q = parse_quiver(text)
+    zero = tors.enumerate_torsion_classes(q)[0]
+    square = coxeter_element(q) * coxeter_element(q)
+    assert square not in latt.noncrossing_partitions(q).payloads
+    nc_of_torsion = ncmap.nc_of_torsion
+    monkeypatch.setattr(
+        ncmap, "nc_of_torsion", lambda q, t: square if t == zero else nc_of_torsion(q, t)
+    )
+    code = main(["verify", "--suite=reading", text])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("reading: FAIL") and "order isomorphism fails at {} vs {}" in out
