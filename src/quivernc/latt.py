@@ -13,11 +13,12 @@ fact is read from the covers: the lattice test joins the upper covers of
 each element (Bjorner-Edelman-Ziegler), irreducibility pairs lower or
 upper covers, and left modularity is tested on cover pairs
 (McNamara-Thomas). [e, cox] is built downward from cox: the lower covers
-of v are the v s_r, a rank-one update of v, for the roots r in Mov(v),
-and each down-set is the union of those of its lower covers. The Cambrian
-up-sets are ANDs over the classes that hold each root. No suite
-walks the Weyl group; `weyl_group` stays as the reference the tests
-compare these against.
+of v are the v s_r, a rank-one update of v, for the roots r in Mov(v);
+down-sets are unions over lower covers, and up-sets are pushed down them.
+`inclusion_poset` orders the Cambrian and wide families of root sets:
+ANDs, and complements of ORs, of the sets that hold each root. No bitset
+is transposed, and no suite walks the Weyl group; `weyl_group` stays as
+the reference the tests compare these against.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import combinations
-from operator import and_, mul
+from operator import and_, mul, or_
 from typing import Callable, Iterator, Sequence
 
 from . import fields
@@ -55,13 +56,6 @@ def _bits_of(mask: int) -> list[int]:
     return out
 
 
-def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
-    """The n ints whose j-th has bit i exactly when rows[i] has bit j, for
-    rows of n bits: the down-sets of up-sets, and the up-sets of down-sets."""
-    columns = zip(*(format(row, f"0{n}b") for row in reversed(rows)))
-    return tuple(int("".join(col), 2) for col in columns)[::-1] if n else ()
-
-
 @dataclass(frozen=True)
 class FinitePoset:
     """Elements are ids 0..n-1 carrying payloads. The relation is held as
@@ -74,11 +68,10 @@ class FinitePoset:
 
     @staticmethod
     def from_elements(elements: Sequence, leq_fn: Callable) -> "FinitePoset":
-        up = tuple(
-            int("".join("01"[bool(leq_fn(a, b))] for b in reversed(elements)), 2)
-            for a in elements
-        )
-        p = FinitePoset(tuple(elements), up, _transpose(up, len(up)))
+        leq = [[leq_fn(a, b) for b in elements] for a in elements]
+        up = tuple(sum(1 << j for j, x in enumerate(row) if x) for row in leq)
+        down = tuple(sum(1 << i for i, x in enumerate(col) if x) for col in zip(*leq))
+        p = FinitePoset(tuple(elements), up, down)
         p.validate()
         return p
 
@@ -257,18 +250,25 @@ def splitting_chain(q: Quiver) -> tuple[IndecSet, ...]:
     )
 
 
+def inclusion_poset(sets: Sequence[frozenset]) -> FinitePoset:
+    """Distinct sets by inclusion: S_j contains S_i exactly when it holds
+    every element of S_i, and lies in S_i when it holds none outside S_i."""
+    holding: dict = {}
+    for i, s in enumerate(sets):
+        for r in s:
+            holding[r] = holding.get(r, 0) | 1 << i
+    every = (1 << len(sets)) - 1
+    up = tuple(reduce(and_, map(holding.get, s), every) for s in sets)
+    down = tuple(
+        every & ~reduce(or_, (h for r, h in holding.items() if r not in s), 0) for s in sets
+    )
+    return FinitePoset(tuple(sets), up, down)
+
+
 @lru_cache(maxsize=None)
 def cambrian_poset(q: Quiver) -> FinitePoset:
-    """Torsion classes ordered by inclusion, from the classes that hold
-    each root: T_j contains T_i exactly when it holds every root of T_i."""
-    classes = enumerate_torsion_classes(q)
-    holding = dict.fromkeys(positive_roots(q), 0)
-    for i, t in enumerate(classes):
-        for r in t:
-            holding[r] |= 1 << i
-    every = (1 << len(classes)) - 1
-    up = tuple(reduce(and_, map(holding.get, t), every) for t in classes)
-    return FinitePoset(classes, up, _transpose(up, len(up)))
+    """Torsion classes ordered by inclusion."""
+    return inclusion_poset(enumerate_torsion_classes(q))
 
 
 @lru_cache(maxsize=None)
@@ -345,13 +345,15 @@ def noncrossing_partitions(q: Quiver) -> FinitePoset:
         frontier = below
     elems = sorted(length, key=lambda w: (length[w], w.mat))
     index = {w: i for i, w in enumerate(elems)}
-    down: list[int] = []
+    down = [1 << i for i in range(len(elems))]
+    up = down[:]
     for i, w in enumerate(elems):  # lower covers come first: they are shorter
-        d = 1 << i
         for u in lower[w]:
-            d |= down[index[u]]
-        down.append(d)
-    return FinitePoset(tuple(elems), _transpose(down, len(down)), tuple(down))
+            down[i] |= down[index[u]]
+    for i in reversed(range(len(elems))):  # upper covers come first: they are longer
+        for u in lower[elems[i]]:
+            up[index[u]] |= up[i]
+    return FinitePoset(tuple(elems), tuple(up), tuple(down))
 
 
 def c_sortable_elements(q: Quiver, c_word: tuple[int, ...]) -> Iterator[GroupElement]:

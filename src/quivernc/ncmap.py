@@ -241,18 +241,17 @@ def complete_exceptional_sequences(q: Quiver) -> tuple[tuple[Root, ...], ...]:
     hits = {r: hom[r] | ext[r] for r in roots}  # bit p: Hom(r, p) or Ext(r, p) nonzero
     out: list[tuple[Root, ...]] = []
 
-    def extend(prefix: tuple[Root, ...]) -> None:
+    def extend(prefix: tuple[Root, ...], mask: int) -> None:
+        """mask holds the bits of the prefix; hits[r] holds r's own bit."""
         if len(prefix) == q.n:
             out.append(prefix)
             return
         for r in roots:
-            if r in prefix:
-                continue
-            if not any(hits[r] & bits[p] for p in prefix):
-                extend(prefix + (r,))
+            if not hits[r] & mask:
+                extend(prefix + (r,), mask | bits[r])
 
-    extend(())
-    return tuple(sorted(out))
+    extend((), 0)
+    return tuple(out)  # depth first over sorted roots: already in lexicographic order
 
 
 def braid_orbit(q: Quiver, seq: tuple[Root, ...]) -> frozenset[tuple[Root, ...]]:

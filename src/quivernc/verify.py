@@ -279,11 +279,12 @@ def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
     t0 = time.monotonic()
     cword = coxeter_element_word(q)
     sortables = list(latt.c_sortable_elements(q, cword))
+    classes = tors.enumerate_torsion_classes(q)
     rep.check(
-        len(sortables) == len(tors.enumerate_torsion_classes(q)),
-        f"{len(sortables)} sortable elements vs"
-        f" {len(tors.enumerate_torsion_classes(q))} torsion classes",
+        len(sortables) == len(classes),
+        f"{len(sortables)} sortable elements vs {len(classes)} torsion classes",
     )
+    nc_of = {t: ncmap.nc_of_torsion(q, t) for t in classes}
     for w in sortables:
         t = ncmap.torsion_of_sortable(q, w)
         rep.check(
@@ -291,7 +292,7 @@ def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
             lambda: f"sortable/torsion round trip fails at {reduced_word(q, w)}",
         )
         rep.check(
-            ncmap.reading_nc(q, w, cword) == ncmap.nc_of_torsion(q, t),
+            ncmap.reading_nc(q, w, cword) == nc_of.get(t),
             lambda: f"nc coincidence fails at {reduced_word(q, w)}",
         )
         rep.check(
@@ -305,28 +306,24 @@ def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
         )
     # The order isomorphism pairs wide subcategories under inclusion with
     # NC_Q under absolute order (inclusion of torsion classes is the
-    # Cambrian order, a different poset).
-    # Absolute order comes from the up-sets of the NC poset; an image outside
-    # NC is below nothing, so it fails at least at its diagonal pair.
-    classes = tors.enumerate_torsion_classes(q)
-    wides = {t: tors.a_of(q, t) for t in classes}
-    nc_of = {t: ncmap.nc_of_torsion(q, t) for t in classes}
-    rep.check(
-        len(set(nc_of.values())) == len(classes),
-        "nc_of_torsion is not injective",
-    )
+    # Cambrian order, a different poset). T -> nc(T) is onto NC, and the NC
+    # up-set of each nc(T) is the image of the up-set of a(T). Absolute
+    # order is read from NC alone: an image outside NC has the empty up-set,
+    # so its class fails.
     nc = noncrossing_partitions(q)
     nc_index = {w: i for i, w in enumerate(nc.payloads)}
-    for t1 in classes:
-        i = nc_index.get(nc_of[t1])
-        for t2 in classes:
-            j = nc_index.get(nc_of[t2])
-            below = i is not None and j is not None and nc.up[i] >> j & 1 == 1
-            rep.check(
-                (wides[t1] <= wides[t2]) == below,
-                lambda: f"order isomorphism fails at"
-                f" {_roots_str(wides[t1])} vs {_roots_str(wides[t2])}",
-            )
+    rep.check(set(nc_of.values()) == set(nc_index), "nc_of_torsion is not onto NC")
+    position = [nc_index.get(nc_of[t], len(nc)) for t in classes]
+    nc_up = nc.up + (0,)
+    wides = latt.inclusion_poset([tors.a_of(q, t) for t in classes])
+    for i, above in enumerate(wides.up):
+        image = 0
+        for j in latt._bits_of(above):
+            image |= 1 << position[j]
+        rep.check(
+            nc_up[position[i]] == image,
+            lambda: f"order isomorphism fails at {_roots_str(wides.payloads[i])}",
+        )
     rep.wall_time = time.monotonic() - t0
     return rep
 

@@ -1,17 +1,18 @@
 import json
+import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latt_reference
-from quivernc import enumerate_torsion_classes, positive_roots
+from quivernc import enumerate_torsion_classes, parse_quiver, positive_roots
 from quivernc.latt import (
     FinitePoset,
     _is_left_modular,
-    _transpose,
     bounds,
     cambrian_poset,
+    inclusion_poset,
     lattice_analyze,
     noncrossing_partitions,
     principal_torsion_classes,
@@ -19,6 +20,9 @@ from quivernc.latt import (
     torsion_join,
 )
 from quivernc.replab import is_torsion_class
+
+
+D4_ROOTS = positive_roots(parse_quiver("vertices 4\narrow 2 1\narrow 2 3\narrow 2 4"))
 
 
 def boolean_lattice_two_atoms():
@@ -114,9 +118,20 @@ class TestBitsetsAgainstListScans:
         elif kind == "preorder":  # fails antisymmetry only, if anything
             leq = _closure(n, leq)
         up = tuple(sum(leq[i][j] << j for j in range(n)) for i in range(n))
-        unchecked = FinitePoset(tuple(range(n)), up, _transpose(up, n))
+        down = tuple(sum(leq[i][j] << i for i in range(n)) for j in range(n))
+        unchecked = FinitePoset(tuple(range(n)), up, down)
         assert _error(lambda: _from_relation(n, leq)) == _error(
             lambda: latt_reference.validate(unchecked))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(sets=st.lists(st.frozensets(st.sampled_from(D4_ROOTS), max_size=12),
+                         max_size=12, unique=True))
+    @example(sets=[])
+    @example(sets=[frozenset()])
+    def test_inclusion_poset_matches_from_elements(self, sets):
+        """Random families of distinct root sets, the empty family and the
+        empty set among them."""
+        assert inclusion_poset(sets) == FinitePoset.from_elements(sets, operator.le)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(leq=posets(7))

@@ -19,11 +19,11 @@ D4 = "vertices 4\narrow 2 1\narrow 2 3\narrow 2 4"
 # the same laws and the same number of checks.
 INSTANCES = {
     "a3": (A3, {"bijections": 289, "lattice": 796, "stability": 70, "exceptional": 20,
-                "reading": 254}),
+                "reading": 72}),
     "a4": (A4, {"bijections": 799, "lattice": 16, "stability": 168, "exceptional": 129,
-                "reading": 1934}),
+                "reading": 212}),
     "d4": (D4, {"bijections": 951, "lattice": 18, "stability": 200, "exceptional": 166,
-                "reading": 2702}),
+                "reading": 252}),
 }
 
 
@@ -153,8 +153,9 @@ def test_a_cleared_nc_comparability_fails_reading(capsys, monkeypatch, text):
 @pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
 def test_an_image_outside_nc_fails_reading(capsys, monkeypatch, text):
     """The zero class sent to cox(Q)^2, which lies outside [e, cox(Q)]: the
-    order isomorphism reads absolute order from NC alone, so the image is
-    below nothing, its own diagonal pair included."""
+    order isomorphism reads absolute order from NC alone, so the image has
+    no up-set there, while the up-set of the zero wide subcategory holds
+    every class."""
     q = parse_quiver(text)
     zero = tors.enumerate_torsion_classes(q)[0]
     square = coxeter_element(q) * coxeter_element(q)
@@ -166,4 +167,4 @@ def test_an_image_outside_nc_fails_reading(capsys, monkeypatch, text):
     code = main(["verify", "--suite=reading", text])
     out = capsys.readouterr().out
     assert code == 1
-    assert out.startswith("reading: FAIL") and "order isomorphism fails at {} vs {}" in out
+    assert out.startswith("reading: FAIL") and "order isomorphism fails at {}\n" in out
