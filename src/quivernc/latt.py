@@ -5,20 +5,20 @@ Reading's induction, meet/join of torsion classes, principal
 (join-irreducible) classes and the left-modular splitting chain.
 
 A poset's relation is its bitsets: each element's up-set and down-set is
-an int, and a `FinitePoset` holds these beside its payloads. j covers i
-when the interval up[i] & down[j] has two elements. Joins and meets are
-looked up on demand (`bounds`): the join of i and j is the element whose
-up-set is up[i] & up[j], the meet likewise with down-sets. Every lattice
-fact is read from the covers: the lattice test joins the upper covers of
-each element (Bjorner-Edelman-Ziegler), irreducibility pairs lower or
-upper covers, and left modularity is tested on cover pairs
-(McNamara-Thomas). [e, cox] is built downward from cox: the lower covers
-of v are the v s_r, a rank-one update of v, for the roots r in Mov(v);
-down-sets are unions over lower covers, and up-sets are pushed down them.
-`inclusion_poset` orders the Cambrian and wide families of root sets:
-ANDs, and complements of ORs, of the sets that hold each root. No bitset
-is transposed, and no suite walks the Weyl group; `weyl_group` stays as
-the reference the tests compare these against.
+an int, and a `FinitePoset` holds these beside its payloads. `_minimal`
+gives the minimal elements of a set of ids, in one step per element where
+ids extend the order, as every builder here numbers them. The covers of i
+are the minimal elements of its strict up-set. Every lattice fact is read
+from the covers: two upper covers of an element must have a join, one
+minimal element of their common up-set (Bjorner-Edelman-Ziegler);
+irreducibility pairs lower or upper covers; left modularity compares ANDs
+of down-sets and of up-sets on each cover (McNamara-Thomas). [e, cox] is
+built downward from cox: the lower covers of v are the v s_r, a rank-one
+update of v, for the roots r in Mov(v); down-sets are unions over lower
+covers, and up-sets are pushed down them. `inclusion_poset` orders the
+Cambrian and wide families of root sets: ANDs, and complements of ORs, of
+the sets that hold each root. No suite walks the Weyl group; `weyl_group`
+stays as the reference the tests compare these against.
 """
 
 from __future__ import annotations
@@ -66,43 +66,31 @@ class FinitePoset:
     up: tuple[int, ...]
     down: tuple[int, ...]
 
-    @staticmethod
-    def from_elements(elements: Sequence, leq_fn: Callable) -> "FinitePoset":
-        leq = [[leq_fn(a, b) for b in elements] for a in elements]
-        up = tuple(sum(1 << j for j, x in enumerate(row) if x) for row in leq)
-        down = tuple(sum(1 << i for i, x in enumerate(col) if x) for col in zip(*leq))
-        p = FinitePoset(tuple(elements), up, down)
-        p.validate()
-        return p
-
-    def validate(self) -> None:
-        """Raise at the first defect in row order: for each i, reflexivity,
-        then for j ascending antisymmetry and transitivity at (i, j)."""
-        up, down = self.up, self.down
-        n = len(up)
-        for i, above in enumerate(up):
-            bit = 1 << i
-            if not above & bit:
-                raise ValueError("relation is not reflexive; not a poset")
-            both = above & down[i] & ~bit  # the j != i with i <= j <= i
-            anti = (both & -both).bit_length() - 1 if both else n
-            trans = next((j for j in _bits_of(above) if up[j] & ~above), n)
-            if anti < n and anti <= trans:
-                raise ValueError("relation is not antisymmetric; not a poset")
-            if trans < n:
-                raise ValueError("relation is not transitive; not a poset")
-
     def __len__(self) -> int:
         return len(self.payloads)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        down = self.down
+        """(i, j) for the minimal elements j of the strict up-set of i."""
         return tuple(
             (i, j)
             for i, above in enumerate(self.up)
-            for j in _bits_of(above)
-            if (above & down[j]).bit_count() == 2
+            for j in sorted(_minimal(self, above & ~(1 << i)))
         )
+
+
+def _minimal(p: FinitePoset, s: int) -> list[int]:
+    """The minimal elements of the set of ids s: from the lowest id in s,
+    step down while s holds something below it, record that element and
+    clear its up-set from s."""
+    down, up = p.down, p.up
+    out = []
+    while s:
+        x = (s & -s).bit_length() - 1
+        while below := s & down[x] & ~(1 << x):
+            x = (below & -below).bit_length() - 1
+        out.append(x)
+        s &= ~up[x]
+    return out
 
 
 @dataclass(frozen=True)
@@ -140,9 +128,14 @@ def bounds(p: FinitePoset) -> tuple[Callable, Callable]:
     return (lambda i, j: by_up.get(up[i] & up[j])), (lambda i, j: by_down.get(down[i] & down[j]))
 
 
-def _is_left_modular(x: int, covers, join, meet) -> bool:
-    """No cover y < z of a lattice has x ^ y = x ^ z and x v y = x v z."""
-    return not any(meet(x, y) == meet(x, z) and join(x, y) == join(x, z) for y, z in covers)
+def _is_left_modular(x: int, p: FinitePoset, covers) -> bool:
+    """No cover y < z of a lattice has x ^ y = x ^ z and x v y = x v z, as
+    ANDs of down-sets and of up-sets."""
+    up, down = p.up, p.down
+    ux, dx = up[x], down[x]
+    return not any(
+        dx & down[y] == dx & down[z] and ux & up[y] == ux & up[z] for y, z in covers
+    )
 
 
 def lattice_analyze(p: FinitePoset) -> LatticeReport:
@@ -150,15 +143,14 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
     chain, extremality, left-modular maximal chain, trimness.
 
     A bounded poset is a lattice when every two upper covers of a common
-    element have a join (Bjorner-Edelman-Ziegler, Lemma 2.1). x is the join
-    of two elements below it exactly when it is the join of two of its
-    lower covers, and dually for meets. x is left modular when no y < z
-    has x ^ y = x ^ z and x v y = x v z (McNamara-Thomas); both sides are
-    monotone along a chain from y to z, so cover pairs y < z suffice."""
-    p.validate()
+    element have a join (Bjorner-Edelman-Ziegler, Lemma 2.1): their common
+    up-set has one minimal element. x is the join of two elements below it
+    exactly when it is the join of two of its lower covers, and dually for
+    meets. x is left modular when no y < z has x ^ y = x ^ z and
+    x v y = x v z (McNamara-Thomas); both sides are monotone along a chain
+    from y to z, so cover pairs y < z suffice."""
     n = len(p)
     up, down = p.up, p.down
-    join, meet = bounds(p)
     covers = p.covers()
     succ: list[list[int]] = [[] for _ in range(n)]
     pred: list[list[int]] = [[] for _ in range(n)]
@@ -170,7 +162,7 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
     minima = [i for i in range(n) if up[i] == every]
     maxima = [i for i in range(n) if down[i] == every]
     is_lattice = n == 0 or (bool(minima and maxima) and all(
-        join(a, b) is not None for above in succ for a, b in combinations(above, 2)
+        len(_minimal(p, up[a] & up[b])) == 1 for above in succ for a, b in combinations(above, 2)
     ))
     ji = [x for x in range(n) if x not in minima
           and not any(up[a] & up[b] == up[x] for a, b in combinations(pred[x], 2))]
@@ -190,7 +182,7 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
     if is_lattice and n:
         top = maxima[0]
 
-        left_modular = cache(lambda x: _is_left_modular(x, covers, join, meet))
+        left_modular = cache(lambda x: _is_left_modular(x, p, covers))
 
         @cache
         def chain_from(x: int) -> tuple[int, ...] | None:
@@ -234,8 +226,9 @@ def torsion_join(
 
 
 def principal_torsion_classes(q: Quiver) -> tuple[IndecSet, ...]:
-    """Gen of a single indecomposable, one class per positive root."""
-    out = [gen(q, frozenset({r})) for r in positive_roots(q)]
+    """Gen of a single indecomposable, one class per positive root, traced
+    over GF(2): for a Dynkin quiver it does not depend on the field."""
+    out = [gen(q, frozenset({r}), GF2) for r in positive_roots(q)]
     if len(set(out)) != len(out):
         raise RuntimeError("principal torsion classes are not distinct")
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))

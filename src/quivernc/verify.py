@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -167,6 +168,10 @@ def suite_lattice(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
     nroots = len(positive_roots(q))
     rep.check(analysis.is_lattice, "Cambrian poset is not a lattice")
     rep.check(analysis.is_trim, "Cambrian lattice is not trim")
+    degree = Counter(itertools.chain.from_iterable(cp.covers()))  # n-regular: n up and down
+    for i, t in enumerate(cp.payloads):
+        rep.check(degree[i] == q.n,
+                  lambda: f"n-regularity fails at T={_roots_str(t)}: {degree[i]} covers")
     rep.check(
         len(analysis.join_irreducibles)
         == len(analysis.meet_irreducibles)

@@ -2,7 +2,8 @@
 walks that `latt` no longer takes: the definitions, scanned pair by pair.
 
 `test_latt`, `test_fastpath` and the `hypothesis` relation tests compare
-`latt` against these.
+`latt` against these. `from_elements` builds a checked `FinitePoset` from
+an order function, for posets the tests write out by hand.
 """
 
 from functools import lru_cache
@@ -34,6 +35,17 @@ def validate(p: FinitePoset) -> None:
                 for k in range(n):
                     if leq(p, j, k) and not leq(p, i, k):
                         raise ValueError("relation is not transitive; not a poset")
+
+
+def from_elements(elements, leq_fn) -> FinitePoset:
+    """The poset of `elements` under `leq_fn`, ids in the given order;
+    `validate` raises if the relation is not a partial order."""
+    leq_rows = [[leq_fn(a, b) for b in elements] for a in elements]
+    up = tuple(sum(1 << j for j, x in enumerate(row) if x) for row in leq_rows)
+    down = tuple(sum(1 << i for i, x in enumerate(col) if x) for col in zip(*leq_rows))
+    p = FinitePoset(tuple(elements), up, down)
+    validate(p)
+    return p
 
 
 def covers(p: FinitePoset) -> tuple[tuple[int, int], ...]:
@@ -159,7 +171,7 @@ def noncrossing_partitions_by_weyl_filter(q) -> FinitePoset:
     cox = coxeter_element(q)
     elems = [w for w in weyl_group(q) if absolute_leq(q, w, cox)]
     elems.sort(key=lambda w: (absolute_length(q, w), w.mat))
-    return FinitePoset.from_elements(elems, lambda u, v: absolute_leq(q, u, v))
+    return from_elements(elems, lambda u, v: absolute_leq(q, u, v))
 
 
 def c_sortables_by_weyl_filter(q, c_word) -> set:

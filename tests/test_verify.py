@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import latt_reference
 from quivernc import coxeter_element, latt, ncmap, parse_quiver, positive_roots, tors, verify
 from quivernc.cli import main
 
@@ -18,11 +19,11 @@ D4 = "vertices 4\narrow 2 1\narrow 2 3\narrow 2 4"
 # Instances per suite, as the suites print them: a cheaper check must keep
 # the same laws and the same number of checks.
 INSTANCES = {
-    "a3": (A3, {"bijections": 289, "lattice": 796, "stability": 70, "exceptional": 20,
+    "a3": (A3, {"bijections": 289, "lattice": 810, "stability": 70, "exceptional": 20,
                 "reading": 72}),
-    "a4": (A4, {"bijections": 799, "lattice": 16, "stability": 168, "exceptional": 129,
+    "a4": (A4, {"bijections": 799, "lattice": 58, "stability": 168, "exceptional": 129,
                 "reading": 212}),
-    "d4": (D4, {"bijections": 951, "lattice": 18, "stability": 200, "exceptional": 166,
+    "d4": (D4, {"bijections": 951, "lattice": 68, "stability": 200, "exceptional": 166,
                 "reading": 252}),
 }
 
@@ -121,13 +122,30 @@ def test_a_cambrian_poset_without_its_top_fails_lattice(capsys, monkeypatch, tex
     def without_top(q):
         everything = frozenset(positive_roots(q))
         kept = [t for t in cambrian_poset(q).payloads if t != everything]
-        return latt.FinitePoset.from_elements(kept, lambda a, b: a <= b)
+        return latt_reference.from_elements(kept, lambda a, b: a <= b)
 
     monkeypatch.setattr(latt, "cambrian_poset", without_top)
     code = main(["verify", "--suite=lattice", text])
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("lattice: FAIL") and "Cambrian poset is not a lattice" in out
+
+
+@pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
+def test_a_cambrian_poset_without_a_middle_class_fails_n_regularity(capsys, monkeypatch, text):
+    """Dropping a class that is neither the bottom nor the top changes the
+    number of covers at its neighbours."""
+    cambrian_poset = latt.cambrian_poset
+
+    def without_a_middle_class(q):
+        classes = cambrian_poset(q).payloads
+        return latt.inclusion_poset(classes[:len(classes) // 2] + classes[len(classes) // 2 + 1:])
+
+    monkeypatch.setattr(latt, "cambrian_poset", without_a_middle_class)
+    code = main(["verify", "--suite=lattice", text])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("lattice: FAIL") and "n-regularity fails at T=" in out
 
 
 @pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
