@@ -14,7 +14,6 @@ from .errors import (
     OracleCapError,
     QuiverSyntaxError,
 )
-from .fields import GF2, GF3, QQ
 from .quiver import (
     DimVector,
     Quiver,

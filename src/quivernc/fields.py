@@ -1,155 +1,20 @@
-"""Exact scalar fields and the small dense linear algebra used everywhere.
+"""Exact linear algebra on ints, in the two scalar domains the package uses.
 
-No floating point: rational scalars are `fractions.Fraction`, finite-field
-scalars are ints reduced mod p, and `int_echelon` works on integer
-matrices directly.  Matrices are rows of scalars; functions accept any
-sequence-of-sequences and return lists (or tuples where the result is
-meant to be stored in an immutable value, such as a `GroupElement`, or a
-cache).
+Rational questions (ranks, spans and kernels of integer matrices, as in
+fixed spaces and inverses of Weyl group elements) are answered by Bareiss
+fraction-free elimination, which stays on Python ints. A subspace of Q^n
+gets one canonical integer basis, `int_row_space`, so that two
+descriptions of the same subspace compare equal as tuples.
+
+The representation oracle works over GF(2). There a vector is an int whose
+bit j is its j-th coordinate, and row reduction is XOR. An echelon basis
+lists its rows by increasing pivot, the lowest set bit of each row.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
-
-Scalar = object  # Fraction over Q, int over GF(p)
-Row = tuple
-Matrix = tuple
-
-
-class RationalField:
-    """The rationals; scalars are Fraction."""
-
-    name = "Q"
-
-    def of_int(self, k: int) -> Fraction:
-        return Fraction(k)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def __repr__(self) -> str:
-        return "QQ"
-
-
-class PrimeField:
-    """Integers mod a prime; scalars are ints in range(p)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.name = f"GF{p}"
-
-    def of_int(self, k: int) -> int:
-        return k % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError("division by zero in " + self.name)
-        return (a * pow(b, self.p - 2, self.p)) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-QQ = RationalField()
-GF2 = PrimeField(2)
-GF3 = PrimeField(3)
-
-
-def zeros(field, nrows: int, ncols: int) -> list[list]:
-    z = field.of_int(0)
-    return [[z] * ncols for _ in range(nrows)]
-
-
-def mat_mul(field, a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    out = zeros(field, len(a), cols)
-    for i, arow in enumerate(a):
-        for k in range(inner):
-            x = arow[k]
-            if field.is_zero(x):
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(cols):
-                orow[j] = field.add(orow[j], field.mul(x, brow[j]))
-    return out
-
-
-def mat_vec(field, a: Sequence[Sequence], v: Sequence) -> list:
-    if a and len(a[0]) != len(v):
-        raise ValueError("matrix/vector shape mismatch")
-    out = []
-    for row in a:
-        s = field.of_int(0)
-        for x, y in zip(row, v):
-            s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return out
-
-
-def rref(field, rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    a = [list(r) for r in rows]
-    if not a:
-        return [], []
-    ncols = len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if not field.is_zero(a[i][c])), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = field.div(field.of_int(1), a[r][c])
-        a[r] = [field.mul(inv, x) for x in a[r]]
-        for i in range(len(a)):
-            if i != r and not field.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a[:r], pivots
-
-
-def rank(field, rows: Sequence[Sequence]) -> int:
-    return len(rref(field, rows)[0])
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 
 def int_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
@@ -197,67 +62,108 @@ def int_in_span(echelon: Sequence[Sequence[int]], pivots: Sequence[int], v: Sequ
     return not any(res)
 
 
-def row_space(field, rows: Sequence[Sequence]) -> tuple[tuple, ...]:
-    """Canonical (RREF) form of the row space, usable as a subspace identity."""
-    reduced, _ = rref(field, rows)
-    return tuple(tuple(r) for r in reduced)
+def _primitive(row: list[int], c: int) -> list[int]:
+    """The row divided by the gcd of its entries, with row[c] positive."""
+    g = gcd(*row)
+    if row[c] < 0:
+        g = -g
+    return [x // g for x in row]
 
 
-def reduce_against(field, reduced_rows: Sequence[Sequence], pivots: Sequence[int], v: Sequence) -> list:
-    """Residue of v modulo the span of RREF rows."""
-    res = list(v)
-    for row, c in zip(reduced_rows, pivots):
-        f = res[c]
-        if not field.is_zero(f):
-            res = [field.sub(x, field.mul(f, y)) for x, y in zip(res, row)]
-    return res
+def int_row_space(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer basis of the rational row space: the reduced echelon
+    form, each row scaled to coprime entries with a positive pivot.
+
+    A reduced echelon basis of a subspace is unique up to scaling each row,
+    so two matrices have the same row space exactly when this is equal.
+    """
+    echelon, pivots = int_echelon(rows)
+    echelon = [_primitive(row, c) for row, c in zip(echelon, pivots)]
+    for r in reversed(range(len(echelon))):
+        c, row = pivots[r], echelon[r]
+        for i in range(r):
+            f = echelon[i][c]
+            if f:
+                echelon[i] = _primitive(
+                    [row[c] * x - f * y for x, y in zip(echelon[i], row)], pivots[i])
+    return tuple(map(tuple, echelon))
 
 
-def pivots_of(field, rows: Sequence[Sequence]) -> list[int]:
-    """Pivot columns of rows already in RREF."""
-    return [next(i for i, x in enumerate(row) if not field.is_zero(x)) for row in rows]
-
-
-def in_span(field, reduced_rows: Sequence[Sequence], pivots: Sequence[int], v: Sequence) -> bool:
-    return all(field.is_zero(x) for x in reduce_against(field, reduced_rows, pivots, v))
-
-
-def nullspace(field, rows: Sequence[Sequence], ncols: int) -> list[list]:
-    """Basis of {v : A v = 0} for the matrix with the given rows."""
-    reduced, pivots = rref(field, rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer basis (`int_row_space`) of {v in Q^ncols : A v = 0}
+    for the integer matrix A with the given rows."""
+    reduced = int_row_space(rows)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
+    scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
     basis = []
-    one = field.of_int(1)
-    zero = field.of_int(0)
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = scale
         for row, c in zip(reduced, pivots):
-            v[c] = field.neg(row[f])
+            v[c] = -row[f] * (scale // row[c])
         basis.append(v)
+    return int_row_space(basis)
+
+
+def pack(row: Iterable[int]) -> int:
+    """A GF(2) vector of 0/1 entries as an int: bit j holds entry j."""
+    return sum(1 << j for j, x in enumerate(row) if x)
+
+
+def gf2_reduce(echelon: Sequence[int], v: int) -> int:
+    """Residue of v modulo the span of an echelon basis: zero exactly when v
+    lies in the span."""
+    for row in echelon:
+        if v & row & -row:
+            v ^= row
+    return v
+
+
+def gf2_echelon(rows: Iterable[int]) -> list[int]:
+    """Reduced echelon basis over GF(2) of the span of packed rows: each
+    pivot bit is set in its own row only, so the basis identifies the span."""
+    basis: list[int] = []
+    for v in rows:
+        v = gf2_reduce(basis, v)
+        if v:
+            low = v & -v
+            basis = [row ^ v if row & low else row for row in basis]
+            basis.append(v)
+            basis.sort(key=lambda row: row & -row)
     return basis
 
 
-def solve(field, a_rows: Sequence[Sequence], b: Sequence) -> list | None:
-    """One solution x of A x = b, or None if inconsistent."""
-    if not a_rows:
-        return [] if all(field.is_zero(x) for x in b) else None
-    ncols = len(a_rows[0])
-    aug = [list(r) + [bi] for r, bi in zip(a_rows, b)]
-    reduced, pivots = rref(field, aug)
-    zero = field.of_int(0)
-    x = [zero] * ncols
-    for row, c in zip(reduced, pivots):
-        if c == ncols:
-            return None  # pivot in the constant column
-        x[c] = row[-1]
-    return x
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of packed rows, by one XOR basis keyed on top bits:
+    it skips the full reduction and ordering of `gf2_echelon`, which the
+    Gen trace would pay on every vertex of every root."""
+    tops: dict[int, int] = {}
+    for v in rows:
+        while v:
+            top = v.bit_length()
+            row = tops.get(top)
+            if row is None:
+                tops[top] = v
+                break
+            v ^= row
+    return len(tops)
 
 
-def coords_in_basis(field, basis_rows: Sequence[Sequence], v: Sequence) -> list:
-    """Coordinates of v in a row basis (raises if v is outside the span)."""
-    a = [[basis_rows[k][j] for k in range(len(basis_rows))] for j in range(len(v))]
-    x = solve(field, a, v)
-    if x is None:
-        raise ValueError("vector not in span of basis")
-    return x
+def gf2_nullspace(rows: Iterable[int], ncols: int) -> list[int]:
+    """Basis of {v in GF(2)^ncols : A v = 0} for the matrix A with the given
+    packed rows, one vector per free column, in column order."""
+    echelon = gf2_echelon(rows)
+    pivot_of = {row & -row: row for row in echelon}
+    basis = []
+    for f in range(ncols):
+        bit = 1 << f
+        if bit in pivot_of:
+            continue
+        v = bit
+        for low, row in pivot_of.items():
+            if row & bit:
+                v |= low
+        basis.append(v)
+    return basis

@@ -31,7 +31,6 @@ from operator import and_, mul, or_
 from typing import Callable, Iterator, Sequence
 
 from . import fields
-from .fields import GF2
 from .ncmap import wide_of_nc
 from .quiver import Quiver, Root, cartan_matrix, positive_roots, require_finite_type
 from .replab import DEFAULT_CAP, extension_root_closure, gen
@@ -216,7 +215,7 @@ def torsion_join(
     dimension `cap`, to a fixpoint."""
     current = frozenset(t1) | frozenset(t2)
     while True:
-        bigger = set(gen(q, current, GF2))
+        bigger = set(gen(q, current))
         for a in sorted(current):
             for b in sorted(current):
                 bigger |= extension_root_closure(q, a, b, cap)
@@ -227,8 +226,8 @@ def torsion_join(
 
 def principal_torsion_classes(q: Quiver) -> tuple[IndecSet, ...]:
     """Gen of a single indecomposable, one class per positive root, traced
-    over GF(2): for a Dynkin quiver it does not depend on the field."""
-    out = [gen(q, frozenset({r}), GF2) for r in positive_roots(q)]
+    by the GF(2) oracle `replab.gen`."""
+    out = [gen(q, frozenset({r})) for r in positive_roots(q)]
     if len(set(out)) != len(out):
         raise RuntimeError("principal torsion classes are not distinct")
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))

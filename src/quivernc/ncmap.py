@@ -14,7 +14,6 @@ exceptional condition from the per-quiver Hom and Ext bitsets.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -277,14 +276,12 @@ def upper_indecs(q: Quiver, t: ClusterTilting) -> frozenset[CCIndec]:
     return frozenset(x for x in t if gen_of(q, mutate(q, t, x)) < base)
 
 
-def _perp_intersection(q: Quiver, roots: list[Root]) -> tuple[tuple[Fraction, ...], ...]:
+def _perp_intersection(q: Quiver, roots: list[Root]) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer basis (`fields.int_row_space`) of the vectors
+    orthogonal to every given root under the symmetrized form."""
     b = cartan_matrix(q)
-    rows = [
-        [Fraction(sum(b[k][j] * r[k] for k in range(q.n))) for j in range(q.n)]
-        for r in roots
-    ]
-    basis = fields.nullspace(fields.QQ, rows, q.n)
-    return fields.row_space(fields.QQ, basis)
+    rows = [[sum(b[k][j] * r[k] for k in range(q.n)) for j in range(q.n)] for r in roots]
+    return fields.int_nullspace(rows, q.n)
 
 
 class RSReport(NamedTuple):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotFiniteTypeError, QuiverSyntaxError
@@ -226,24 +225,25 @@ def simple_roots(q: Quiver) -> tuple[Root, ...]:
     )
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss elimination: every
+    division by the previous pivot is exact, and the last pivot is the
+    determinant up to the sign of the row swaps."""
     a = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+    sign, prev = 1, 1
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
+            sign = -sign
+        p = a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[c])]
+        prev = p
+    return sign * prev
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +253,7 @@ def classify(q: Quiver) -> str:
     idx = range(q.n)
     leading_positive = True
     for k in range(1, q.n + 1):
-        rows = [[Fraction(b[i][j]) for j in idx[:k]] for i in idx[:k]]
+        rows = [[b[i][j] for j in idx[:k]] for i in idx[:k]]
         if _det(rows) <= 0:
             leading_positive = False
             break
@@ -262,7 +262,7 @@ def classify(q: Quiver) -> str:
     # positive semidefinite <=> every principal minor is >= 0
     for size in range(1, q.n + 1):
         for subset in itertools.combinations(idx, size):
-            rows = [[Fraction(b[i][j]) for j in subset] for i in subset]
+            rows = [[b[i][j] for j in subset] for i in subset]
             if _det(rows) < 0:
                 return "wild"
     return "affine"

@@ -1,31 +1,38 @@
-"""Explicit quiver representations over exact fields, and the oracles
-built on them.
+"""Explicit quiver representations over GF(2), and the oracles built on
+them.
+
+For a Dynkin quiver the indecomposables, the dimensions of Hom and Ext
+between them, Gen and the dimension vectors of subobjects do not depend on
+the field (Gabriel's theorem and the reflection functors of
+Bernstein-Gelfand-Ponomarev hold over any field), so the oracle works over
+the smallest one. A matrix keeps its 0/1 entries row by row; the linear
+algebra packs each row or column into an int and reduces with XOR
+(`fields`).
 
 Hom/Ext computation, BGP reflection functors, construction of the
 indecomposable for each positive root, subrepresentation enumeration (the
 brute-force oracle substrate) and Krull-Schmidt decomposition by Hom
-fingerprints.  The Hom basis between the indecomposables of two roots is
-solved once per quiver, root pair and field, and serves both the
-decomposition's Hom table and Gen; each decomposition is resolved once per
-representation, and each Gen traced once per set and field.  On top of
-these sit the references that `verify` and the tests check the integer
-fast path against: Gen(S) as a trace over explicit Hom bases (for
-`tors.torsion_closure`), the GF(2) quotient and extension closures behind
-`is_torsion_class` and `is_wide`, the torsion subobject, and the AR quiver
-from Hom bases (for `weyl.ar_quiver`).  No production module imports this
-one.
+fingerprints. The Hom basis between the indecomposables of two roots is
+solved once per quiver and root pair, and serves both the decomposition's
+Hom table and Gen; each decomposition is resolved once per representation,
+and each Gen traced once per set. On top of these sit the references that
+`verify` and the tests check the integer fast path against: Gen(S) as a
+trace over explicit Hom bases (for `tors.torsion_closure`), the quotient
+and extension closures behind `is_torsion_class` and `is_wide`, and the AR
+quiver from Hom bases (for `weyl.ar_quiver`). No production module imports
+this one.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
+from typing import Sequence
 
 from . import fields
 from .errors import FingerprintError, OracleCapError
-from .fields import GF2, QQ
 from .quiver import (
     DimVector,
     Quiver,
@@ -36,26 +43,29 @@ from .quiver import (
     positive_roots,
     require_finite_type,
 )
-from .tors import IndecSet, _check_roots, _require_torsion_class
+from .tors import IndecSet, _check_roots
 from .weyl import ar_linear_order, reflection
 
 DEFAULT_CAP = 12
 
-Matrix = tuple[tuple[object, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]  # 0/1 entries, one tuple per row
 
 
 @dataclass(frozen=True)
 class Representation:
-    """Per-vertex dimensions plus one matrix per arrow.
+    """Per-vertex dimensions plus one 0/1 matrix over GF(2) per arrow.
 
     maps[k] has shape (dim at target) x (dim at source) for arrows[k] and
-    acts on column vectors; entries live in `field`.
+    acts on column vectors.
     """
 
     quiver: Quiver
-    field: object
     dims: DimVector
     maps: tuple[Matrix, ...]
+
+    # The order of the scalar field, for code that counts subspaces from
+    # outside (the benchmark's tracer reads `m.field.p`).
+    field = SimpleNamespace(p=2)
 
     def __post_init__(self):
         if len(self.dims) != self.quiver.n or len(self.maps) != len(self.quiver.arrows):
@@ -69,46 +79,42 @@ class Representation:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def to_json(self) -> str:
-        def cell(x):
-            if self.field is QQ:
-                return int(x) if x.denominator == 1 else str(x)
-            return int(x)
 
-        return json.dumps(
-            {
-                "dims": list(self.dims),
-                "maps": {
-                    str(k): [[cell(x) for x in row] for row in m]
-                    for k, m in enumerate(self.maps)
-                },
-                "field": self.field.name,
-            }
-        )
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return ((0,) * cols,) * rows
 
 
-def _freeze(m) -> Matrix:
-    return tuple(tuple(row) for row in m)
+def _columns(m: Matrix, ncols: int) -> list[int]:
+    """The columns of a 0/1 matrix, each packed into an int."""
+    return [sum(row[j] << i for i, row in enumerate(m)) for j in range(ncols)]
 
 
-def zero_matrix(field, rows: int, cols: int) -> Matrix:
-    return _freeze(fields.zeros(field, rows, cols))
+def _matrix(cols: Sequence[int], nrows: int) -> Matrix:
+    """The 0/1 matrix with the given packed columns."""
+    return tuple(tuple(c >> i & 1 for c in cols) for i in range(nrows))
 
 
-def zero_rep(q: Quiver, field=QQ) -> Representation:
-    return Representation(
-        q, field, (0,) * q.n, tuple(zero_matrix(field, 0, 0) for _ in q.arrows)
-    )
+def _image(cols: Sequence[int], v: int) -> int:
+    """M v for a packed vector v, from the packed columns of M."""
+    out, j = 0, 0
+    while v:
+        if v & 1:
+            out ^= cols[j]
+        v >>= 1
+        j += 1
+    return out
 
 
-def simple_rep(q: Quiver, v: Vertex, field=QQ) -> Representation:
+def zero_rep(q: Quiver) -> Representation:
+    return Representation(q, (0,) * q.n, tuple(zero_matrix(0, 0) for _ in q.arrows))
+
+
+def simple_rep(q: Quiver, v: Vertex) -> Representation:
     if not 1 <= v <= q.n:
         raise ValueError(f"unknown vertex {v}")
     dims = tuple(1 if u == v else 0 for u in q.vertices)
-    maps = tuple(
-        zero_matrix(field, dims[t - 1], dims[s - 1]) for s, t in q.arrows
-    )
-    return Representation(q, field, dims, maps)
+    maps = tuple(zero_matrix(dims[t - 1], dims[s - 1]) for s, t in q.arrows)
+    return Representation(q, dims, maps)
 
 
 def _paths_from(q: Quiver, v: Vertex) -> list[tuple[int, ...]]:
@@ -132,7 +138,7 @@ def _path_end(q: Quiver, v: Vertex, path: tuple[int, ...]) -> Vertex:
     return v
 
 
-def projective_rep(q: Quiver, v: Vertex, field=QQ) -> Representation:
+def projective_rep(q: Quiver, v: Vertex) -> Representation:
     """P_v: basis at w is the set of paths v -> w; arrows append themselves."""
     if not 1 <= v <= q.n:
         raise ValueError(f"unknown vertex {v}")
@@ -143,61 +149,22 @@ def projective_rep(q: Quiver, v: Vertex, field=QQ) -> Representation:
     index = {u: {p: i for i, p in enumerate(ps)} for u, ps in by_vertex.items()}
     dims = tuple(len(by_vertex[u]) for u in q.vertices)
     maps = []
-    one = field.of_int(1)
     for k, (s, t) in enumerate(q.arrows):
-        m = fields.zeros(field, dims[t - 1], dims[s - 1])
-        for p, col in index[s].items():
-            m[index[t][p + (k,)]][col] = one
-        maps.append(_freeze(m))
-    return Representation(q, field, dims, tuple(maps))
-
-
-def injective_rep(q: Quiver, v: Vertex, field=QQ) -> Representation:
-    """I_v: basis at w is the set of paths w -> v.
-
-    The arrow a: i -> j sends the dual basis vector of a path p: i -> v to
-    the dual basis vector of x: j -> v whenever p = (a then x).
-    """
-    if not 1 <= v <= q.n:
-        raise ValueError(f"unknown vertex {v}")
-    rev = Quiver(q.n, tuple((t, s) for s, t in q.arrows))
-    arrow_of_rev = {}
-    used: set[int] = set()
-    for rk, (s, t) in enumerate(rev.arrows):
-        k = next(
-            i for i, (a, b) in enumerate(q.arrows) if (a, b) == (t, s) and i not in used
-        )
-        used.add(k)
-        arrow_of_rev[rk] = k
-    rev_paths = _paths_from(rev, v)  # reversed path p: v -> w means p: w -> v in q
-    by_vertex: dict[Vertex, list[tuple[int, ...]]] = {u: [] for u in q.vertices}
-    for p in rev_paths:
-        by_vertex[_path_end(rev, v, p)].append(p)
-    index = {u: {p: i for i, p in enumerate(ps)} for u, ps in by_vertex.items()}
-    dims = tuple(len(by_vertex[u]) for u in q.vertices)
-    maps = []
-    one = field.of_int(1)
-    for k, (s, t) in enumerate(q.arrows):
-        # in rev, arrow k runs t -> s; traversing p in q from s first crosses k
-        m = fields.zeros(field, dims[t - 1], dims[s - 1])
-        rk = next(r for r, orig in arrow_of_rev.items() if orig == k)
-        for p, col in index[s].items():
-            if p and p[-1] == rk:  # rev path v -> s ending with arrow t -> s
-                m[index[t][p[:-1]]][col] = one
-        maps.append(_freeze(m))
-    return Representation(q, field, dims, tuple(maps))
+        cols = [1 << index[t][p + (k,)] for p in index[s]]
+        maps.append(_matrix(cols, dims[t - 1]))
+    return Representation(q, dims, tuple(maps))
 
 
 def direct_sum(reps: list[Representation]) -> Representation:
     if not reps:
         raise ValueError("empty direct sum needs an explicit quiver; use zero_rep")
-    q, field = reps[0].quiver, reps[0].field
-    if any(r.quiver != q or r.field is not field for r in reps):
-        raise ValueError("summands live over different quivers or fields")
+    q = reps[0].quiver
+    if any(r.quiver != q for r in reps):
+        raise ValueError("summands live over different quivers")
     dims = tuple(sum(r.dims[i] for r in reps) for i in range(q.n))
     maps = []
     for k, (s, t) in enumerate(q.arrows):
-        m = fields.zeros(field, dims[t - 1], dims[s - 1])
+        m = [[0] * dims[s - 1] for _ in range(dims[t - 1])]
         ro = co = 0
         for r in reps:
             block = r.maps[k]
@@ -206,8 +173,8 @@ def direct_sum(reps: list[Representation]) -> Representation:
                     m[ro + i][co + j] = x
             ro += r.dims[t - 1]
             co += r.dims[s - 1]
-        maps.append(_freeze(m))
-    return Representation(q, field, dims, tuple(maps))
+        maps.append(tuple(map(tuple, m)))
+    return Representation(q, dims, tuple(maps))
 
 
 @dataclass(frozen=True)
@@ -226,9 +193,7 @@ def hom_basis(m: Representation, n: Representation) -> HomBasis:
     """Solve the commuting system phi_t . M_a = N_a . phi_s per arrow."""
     if m.quiver != n.quiver:
         raise ValueError("representations live over different quivers")
-    if m.field is not n.field:
-        raise ValueError("field mismatch")
-    q, field = m.quiver, m.field
+    q = m.quiver
     # unknowns: entries of phi_v (n.dims[v] x m.dims[v]), vertex-major order
     offsets = []
     total = 0
@@ -240,30 +205,30 @@ def hom_basis(m: Representation, n: Representation) -> HomBasis:
         return offsets[v] + row * m.dims[v] + col
 
     rows = []
-    zero = field.of_int(0)
     for k, (s, t) in enumerate(q.arrows):
         si, ti = s - 1, t - 1
         ma, na = m.maps[k], n.maps[k]
         for i in range(n.dims[ti]):
             for j in range(m.dims[si]):
-                row = [zero] * total
+                row = 0
                 # (phi_t . M_a)[i][j] = sum_l phi_t[i][l] * M_a[l][j]
                 for l in range(m.dims[ti]):
-                    row[var(ti, i, l)] = field.add(row[var(ti, i, l)], ma[l][j])
-                # -(N_a . phi_s)[i][j] = -sum_l N_a[i][l] * phi_s[l][j]
+                    if ma[l][j]:
+                        row ^= 1 << var(ti, i, l)
+                # (N_a . phi_s)[i][j] = sum_l N_a[i][l] * phi_s[l][j]
                 for l in range(n.dims[si]):
-                    row[var(si, l, j)] = field.sub(row[var(si, l, j)], na[i][l])
+                    if na[i][l]:
+                        row ^= 1 << var(si, l, j)
                 rows.append(row)
-    basis = fields.nullspace(field, rows, total)
     elems = []
-    for vec in basis:
-        mats = []
-        for v in range(q.n):
-            mat = [
-                [vec[var(v, i, j)] for j in range(m.dims[v])] for i in range(n.dims[v])
-            ]
-            mats.append(_freeze(mat))
-        elems.append(tuple(mats))
+    for vec in fields.gf2_nullspace(rows, total):
+        elems.append(tuple(
+            tuple(
+                tuple(vec >> var(v, i, j) & 1 for j in range(m.dims[v]))
+                for i in range(n.dims[v])
+            )
+            for v in range(q.n)
+        ))
     return HomBasis(m, n, tuple(elems))
 
 
@@ -286,7 +251,6 @@ def reflect(q: Quiver, v: Vertex, direction: str, m: Representation) -> Represen
     """
     if m.quiver != q:
         raise ValueError("representation does not live over the given quiver")
-    field = m.field
     qr = q.reflect_at(v)
     incident = [k for k, (s, t) in enumerate(q.arrows) if s == v or t == v]
     # match each reflected arrow occurrence with an original occurrence
@@ -314,13 +278,11 @@ def reflect(q: Quiver, v: Vertex, direction: str, m: Representation) -> Represen
             block_at[k] = width
             width += m.dims[q.arrows[k][0] - 1]
         # kernel of [M_{a1} | M_{a2} | ...] : (+) M_{s(a)} -> M_v
-        rows = []
-        for i in range(m.dims[v - 1]):
-            row = []
-            for k in ins:
-                row.extend(m.maps[k][i])
-            rows.append(row)
-        kernel = fields.nullspace(field, rows, width)
+        rows = [
+            fields.pack(itertools.chain.from_iterable(m.maps[k][i] for k in ins))
+            for i in range(m.dims[v - 1])
+        ]
+        kernel = fields.gf2_nullspace(rows, width)
         new_dim_v = len(kernel)
     else:
         if direction != "-":
@@ -334,19 +296,14 @@ def reflect(q: Quiver, v: Vertex, direction: str, m: Representation) -> Represen
             block_at[k] = height
             height += m.dims[q.arrows[k][1] - 1]
         # cokernel of stacked [M_{a1}; M_{a2}; ...] : M_v -> (+) M_{t(a)}
-        image_cols = []
-        for j in range(m.dims[v - 1]):
-            col = []
-            for k in outs:
-                col.extend(m.maps[k][i][j] for i in range(len(m.maps[k])))
-            image_cols.append(col)
-        reduced, pivots = fields.rref(field, image_cols)
-        coker_coords = [i for i in range(height) if i not in pivots]
+        image = fields.gf2_echelon(
+            fields.pack(itertools.chain.from_iterable(
+                (row[j] for row in m.maps[k]) for k in outs))
+            for j in range(m.dims[v - 1])
+        )
+        pivots = {row & -row for row in image}
+        coker_coords = [i for i in range(height) if 1 << i not in pivots]
         new_dim_v = len(coker_coords)
-
-        def project(vec: list) -> list:
-            res = fields.reduce_against(field, reduced, pivots, vec)
-            return [res[i] for i in coker_coords]
 
     dims = tuple(
         new_dim_v if u == v else m.dims[u - 1] for u in q.vertices
@@ -357,28 +314,22 @@ def reflect(q: Quiver, v: Vertex, direction: str, m: Representation) -> Represen
         if s != v and t != v:
             maps.append(m.maps[k])
             continue
+        off = block_at[k]
         if direction == "+":
-            # reversed arrow v -> i: kernel -> M_i, block projection
-            i = t
-            off = block_at[k]
-            d_i = m.dims[i - 1]
-            mat = [
-                [kernel[c][off + r] for c in range(new_dim_v)] for r in range(d_i)
-            ]
-            maps.append(_freeze(mat))
+            # reversed arrow v -> t: kernel -> M_t, block projection
+            maps.append(tuple(
+                tuple(kernel[c] >> (off + r) & 1 for c in range(new_dim_v))
+                for r in range(m.dims[t - 1])
+            ))
         else:
-            # reversed arrow j -> v: M_j -> coker, block inclusion then project
-            j = s
-            off = block_at[k]
-            d_j = m.dims[j - 1]
-            cols = []
-            for c in range(d_j):
-                unit = [field.of_int(0)] * height
-                unit[off + c] = field.of_int(1)
-                cols.append(project(unit))
-            mat = [[cols[c][r] for c in range(d_j)] for r in range(new_dim_v)]
-            maps.append(_freeze(mat))
-    return Representation(qr, field, dims, tuple(maps))
+            # reversed arrow s -> v: M_s -> coker, block inclusion then project
+            cols = [
+                fields.gf2_reduce(image, 1 << (off + c)) for c in range(m.dims[s - 1])
+            ]
+            maps.append(tuple(
+                tuple(col >> i & 1 for col in cols) for i in coker_coords
+            ))
+    return Representation(qr, dims, tuple(maps))
 
 
 def _is_simple_root(root: Root) -> int | None:
@@ -388,7 +339,7 @@ def _is_simple_root(root: Root) -> int | None:
 
 
 @lru_cache(maxsize=None)
-def indecomposable(q: Quiver, root: Root, field=QQ) -> Representation:
+def indecomposable(q: Quiver, root: Root) -> Representation:
     """The unique indecomposable with the given positive root as dimensions.
 
     Walk the root to a simple by sink reflections taken in admissible order
@@ -411,7 +362,7 @@ def indecomposable(q: Quiver, root: Root, field=QQ) -> Representation:
             steps.append((cur_q, v))
             cur = reflection(cur_q, tuple(1 if u == v else 0 for u in cur_q.vertices)).apply(cur)
             cur_q = cur_q.reflect_at(v)
-    m = simple_rep(cur_q, _is_simple_root(cur), field)
+    m = simple_rep(cur_q, _is_simple_root(cur))
     for prev_q, v in reversed(steps):
         m = reflect(m.quiver, v, "-", m)
         if m.quiver != prev_q:
@@ -424,76 +375,59 @@ def indecomposable(q: Quiver, root: Root, field=QQ) -> Representation:
 
 
 @lru_cache(maxsize=None)
-def _indecomposable_hom_basis(q: Quiver, a: Root, b: Root, field) -> HomBasis:
+def _indecomposable_hom_basis(q: Quiver, a: Root, b: Root) -> HomBasis:
     """Hom(M_a, M_b) between the indecomposables of two positive roots,
-    solved once per quiver, root pair and field."""
-    return hom_basis(indecomposable(q, a, field), indecomposable(q, b, field))
-
-
-def _all_subspaces(field, dim: int) -> list[tuple[tuple, ...]]:
-    """Every subspace of field^dim as a canonical RREF row basis."""
-    out = [()]
-    one, zero = field.of_int(1), field.of_int(0)
-    scalars = (
-        [field.of_int(k) for k in range(field.p)]
-        if isinstance(field, fields.PrimeField)
-        else None
-    )
-    if scalars is None:
-        raise ValueError("subspace enumeration needs a finite field")
-    for k in range(1, dim + 1):
-        for pivots in itertools.combinations(range(dim), k):
-            free_pos = [
-                (r, c)
-                for r in range(k)
-                for c in range(dim)
-                if c > pivots[r] and c not in pivots
-            ]
-            for values in itertools.product(scalars, repeat=len(free_pos)):
-                mat = [[zero] * dim for _ in range(k)]
-                for r, p in enumerate(pivots):
-                    mat[r][p] = one
-                for (r, c), val in zip(free_pos, values):
-                    mat[r][c] = val
-                out.append(tuple(tuple(row) for row in mat))
-    return out
+    solved once per quiver and root pair."""
+    return hom_basis(indecomposable(q, a), indecomposable(q, b))
 
 
 @lru_cache(maxsize=None)
-def _subspace_lists(field, dim: int) -> tuple:
-    return tuple(_all_subspaces(field, dim))
+def _subspaces(dim: int) -> tuple[tuple[int, ...], ...]:
+    """Every subspace of GF(2)^dim as its reduced echelon basis
+    (`fields.gf2_echelon`), rows packed."""
+    out = [()]
+    for k in range(1, dim + 1):
+        for pivots in itertools.combinations(range(dim), k):
+            free = [
+                (r, c)
+                for r in range(k)
+                for c in range(pivots[r] + 1, dim)
+                if c not in pivots
+            ]
+            for values in itertools.product((0, 1), repeat=len(free)):
+                rows = [1 << p for p in pivots]
+                for (r, c), x in zip(free, values):
+                    rows[r] |= x << c
+                out.append(tuple(rows))
+    return tuple(out)
 
 
 def subrepresentation_subspaces(
     m: Representation, cap: int = DEFAULT_CAP, dims: DimVector | None = None
-) -> list[tuple[tuple[tuple, ...], ...]]:
-    """All subrepresentations as per-vertex RREF subspace bases; with
-    `dims`, only those of that dimension vector."""
+) -> list[tuple[tuple[int, ...], ...]]:
+    """All subrepresentations as per-vertex reduced echelon bases, rows
+    packed; with `dims`, only those of that dimension vector."""
     if m.total_dim > cap:
         raise OracleCapError(
             f"total dimension {m.total_dim} exceeds the oracle cap {cap}"
         )
-    q, field = m.quiver, m.field
-    per_vertex = [_subspace_lists(field, d) for d in m.dims]
+    q = m.quiver
+    per_vertex = [_subspaces(d) for d in m.dims]
     if dims is not None:
         per_vertex = [[s for s in subs if len(s) == k] for subs, k in zip(per_vertex, dims)]
-    arrows = list(enumerate(q.arrows))
-    out = []
-    for choice in itertools.product(*per_vertex):
-        ok = True
-        for k, (s, t) in arrows:
-            target = choice[t - 1]
-            pivots = fields.pivots_of(field, target)
-            for w in choice[s - 1]:
-                img = fields.mat_vec(field, m.maps[k], w)
-                if not fields.in_span(field, target, pivots, img):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(choice)
-    return out
+    arrows = [
+        (s - 1, t - 1, _columns(mat, m.dims[s - 1]))
+        for (s, t), mat in zip(q.arrows, m.maps)
+    ]
+    return [
+        choice
+        for choice in itertools.product(*per_vertex)
+        if not any(
+            fields.gf2_reduce(choice[t], _image(cols, w))
+            for s, t, cols in arrows
+            for w in choice[s]
+        )
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -507,68 +441,55 @@ def subrep_dimvectors(m: Representation, cap: int = DEFAULT_CAP) -> frozenset[Di
 
 
 def sub_representation(
-    m: Representation, subspaces: tuple[tuple[tuple, ...], ...]
+    m: Representation, subspaces: tuple[tuple[int, ...], ...]
 ) -> Representation:
-    """The subrepresentation spanned by the given per-vertex row bases."""
-    q, field = m.quiver, m.field
+    """The subrepresentation with the given per-vertex reduced echelon bases:
+    the coordinates of a vector of the span are its bits at the pivots."""
+    q = m.quiver
     dims = tuple(len(s) for s in subspaces)
     maps = []
     for k, (s, t) in enumerate(q.arrows):
-        rows_s, rows_t = subspaces[s - 1], subspaces[t - 1]
-        cols = []
-        for w in rows_s:
-            img = fields.mat_vec(field, m.maps[k], w)
-            cols.append(fields.coords_in_basis(field, rows_t, img) if rows_t else [])
-        mat = [[cols[c][r] for c in range(dims[s - 1])] for r in range(dims[t - 1])]
-        maps.append(_freeze(mat))
-    return Representation(q, field, dims, tuple(maps))
+        cols = _columns(m.maps[k], m.dims[s - 1])
+        images = [_image(cols, w) for w in subspaces[s - 1]]
+        maps.append(tuple(
+            tuple(int(img & row & -row != 0) for img in images) for row in subspaces[t - 1]
+        ))
+    return Representation(q, dims, tuple(maps))
 
 
 def quotient_representation(
-    m: Representation, subspaces: tuple[tuple[tuple, ...], ...]
+    m: Representation, subspaces: tuple[tuple[int, ...], ...]
 ) -> Representation:
-    """The quotient of M by the subrepresentation with the given bases."""
-    q, field = m.quiver, m.field
-    reductions = []
+    """The quotient of M by the subrepresentation with the given bases, on
+    the coordinates that are not pivots."""
+    q = m.quiver
     coords = []
     for v in range(q.n):
-        rows = list(subspaces[v])
-        pivots = fields.pivots_of(field, rows)
-        reductions.append((rows, pivots))
-        coords.append([c for c in range(m.dims[v]) if c not in pivots])
+        pivots = {row & -row for row in subspaces[v]}
+        coords.append([c for c in range(m.dims[v]) if 1 << c not in pivots])
     dims = tuple(len(c) for c in coords)
-
-    def project(v: int, vec) -> list:
-        rows, pivots = reductions[v]
-        res = fields.reduce_against(field, rows, pivots, vec)
-        return [res[c] for c in coords[v]]
-
     maps = []
     for k, (s, t) in enumerate(q.arrows):
-        si, ti = s - 1, t - 1
-        cols = []
-        for c in coords[si]:
-            unit = [field.of_int(0)] * m.dims[si]
-            unit[c] = field.of_int(1)
-            cols.append(project(ti, fields.mat_vec(field, m.maps[k], unit)))
-        mat = [[cols[c][r] for c in range(dims[si])] for r in range(dims[ti])]
-        maps.append(_freeze(mat))
-    return Representation(q, field, dims, tuple(maps))
+        cols = _columns(m.maps[k], m.dims[s - 1])
+        residues = [fields.gf2_reduce(subspaces[t - 1], cols[c]) for c in coords[s - 1]]
+        maps.append(tuple(
+            tuple(res >> r & 1 for res in residues) for r in coords[t - 1]
+        ))
+    return Representation(q, dims, tuple(maps))
 
 
 @lru_cache(maxsize=None)
 def decompose(q: Quiver, m: Representation) -> tuple[Root, ...]:
     """Multiset of roots with M isomorphic to the direct sum of their
     indecomposables, resolved by the Hom-dimension fingerprint; solved once
-    per quiver and representation (the field is part of the value)."""
+    per quiver and representation."""
     require_finite_type(q)
     if m.total_dim == 0:
         return ()
     order = ar_linear_order(q)
-    field = m.field
-    fingerprint = [hom_dim(indecomposable(q, beta, field), m) for beta in order]
+    fingerprint = [hom_dim(indecomposable(q, beta), m) for beta in order]
     hom_table = [
-        [len(_indecomposable_hom_basis(q, a, b, field)) for b in order] for a in order
+        [len(_indecomposable_hom_basis(q, a, b)) for b in order] for a in order
     ]
     mult = [0] * len(order)
     for i in reversed(range(len(order))):
@@ -596,43 +517,34 @@ def ar_quiver_by_hom_basis(q: Quiver) -> tuple[tuple[Root, Root], ...]:
     dim rad(L,M)/rad^2(L,M), computed from explicit Hom bases."""
     require_finite_type(q)
     roots = positive_roots(q)
-    reps = {r: indecomposable(q, r) for r in roots}
-    bases = {
-        (a, b): hom_basis(reps[a], reps[b]) for a in roots for b in roots if a != b
-    }
     edges = []
     for a in roots:
         for b in roots:
             if a == b:
                 continue
-            basis = bases[(a, b)].elements
+            basis = _indecomposable_hom_basis(q, a, b).elements
             if not basis:
                 continue
             composites = []
             for z in roots:
                 if z == a or z == b:
                     continue
-                for f in bases[(a, z)].elements:
-                    for g in bases[(z, b)].elements:
-                        comp = []
-                        for v in range(q.n):
-                            # shape (b_v x a_v) even when the middle dim is 0
-                            for i in range(b[v]):
-                                for j in range(a[v]):
-                                    comp.append(
-                                        sum(
-                                            g[v][i][l] * f[v][l][j]
-                                            for l in range(z[v])
-                                        )
-                                    )
-                        composites.append(comp)
-            rad2 = fields.rank(QQ, composites) if composites else 0
+                for f in _indecomposable_hom_basis(q, a, z).elements:
+                    for g in _indecomposable_hom_basis(q, z, b).elements:
+                        # g . f per vertex, shape (b_v x a_v) even when z_v = 0
+                        composites.append(fields.pack(
+                            sum(g[v][i][l] & f[v][l][j] for l in range(z[v])) & 1
+                            for v in range(q.n)
+                            for i in range(b[v])
+                            for j in range(a[v])
+                        ))
+            rad2 = fields.gf2_rank(composites)
             for _ in range(len(basis) - rad2):
                 edges.append((a, b))
     return tuple(sorted(edges))
 
 
-def gen(q: Quiver, s: IndecSet, field=QQ) -> IndecSet:
+def gen(q: Quiver, s: IndecSet) -> IndecSet:
     """Indecomposables of Gen(S): quotients of finite sums of members.
 
     X lies in Gen(S) iff the trace of S in X (the sum of all images of
@@ -642,12 +554,23 @@ def gen(q: Quiver, s: IndecSet, field=QQ) -> IndecSet:
     require_finite_type(q)
     s = frozenset(s)
     _check_roots(q, s)
-    return _gen(q, s, field)
+    return _gen(q, s)
 
 
 @lru_cache(maxsize=None)
-def _gen(q: Quiver, s: IndecSet, field) -> IndecSet:
-    """`gen` of checked roots, traced once per quiver, set and field."""
+def _trace_columns(q: Quiver, a: Root, b: Root) -> tuple[tuple[int, ...], ...]:
+    """Per vertex, the packed columns of every morphism of the Hom basis
+    from M_a to M_b: together they span the trace of M_a in M_b there."""
+    elements = _indecomposable_hom_basis(q, a, b).elements
+    return tuple(
+        tuple(itertools.chain.from_iterable(_columns(phi[v], a[v]) for phi in elements))
+        for v in range(q.n)
+    )
+
+
+@lru_cache(maxsize=None)
+def _gen(q: Quiver, s: IndecSet) -> IndecSet:
+    """`gen` of checked roots, traced once per quiver and set."""
     if not s:
         return frozenset()
     out = set()
@@ -655,15 +578,10 @@ def _gen(q: Quiver, s: IndecSet, field) -> IndecSet:
         if x in s:
             out.add(x)
             continue
-        spans = [[] for _ in range(q.n)]
-        for r in s:
-            for phi in _indecomposable_hom_basis(q, r, x, field).elements:
-                for v in range(q.n):
-                    cols = len(phi[v][0]) if phi[v] else 0
-                    for c in range(cols):
-                        spans[v].append([phi[v][i][c] for i in range(x[v])])
+        traces = [_trace_columns(q, r, x) for r in s]
         if all(
-            fields.rank(field, spans[v]) == x[v] for v in range(q.n)
+            fields.gf2_rank(itertools.chain.from_iterable(t[v] for t in traces)) == x[v]
+            for v in range(q.n)
         ):
             out.add(x)
     return frozenset(out)
@@ -671,8 +589,8 @@ def _gen(q: Quiver, s: IndecSet, field) -> IndecSet:
 
 @lru_cache(maxsize=None)
 def quotient_root_closure(q: Quiver, alpha: Root, cap: int = DEFAULT_CAP) -> frozenset[Root]:
-    """Every root appearing as a summand of some quotient of M_alpha (GF(2))."""
-    m = indecomposable(q, alpha, GF2)
+    """Every root appearing as a summand of some quotient of M_alpha."""
+    m = indecomposable(q, alpha)
     out: set[Root] = set()
     for sub in subrepresentation_subspaces(m, cap):
         out.update(decompose(q, quotient_representation(m, sub)))
@@ -708,7 +626,7 @@ def extension_root_closure(
     """Summands of every middle term E of 0 -> M_beta -> E -> M_alpha -> 0.
 
     Candidates are all multisets of roots with the right total dimension;
-    a candidate qualifies when some GF(2) subrepresentation is isomorphic to
+    a candidate qualifies when some subrepresentation is isomorphic to
     M_beta with quotient isomorphic to M_alpha.
     """
     total = tuple(a + b for a, b in zip(alpha, beta))
@@ -718,7 +636,7 @@ def extension_root_closure(
         )
     out: set[Root] = set()
     for candidate in _multisets_with_dim(q, total):
-        e = direct_sum([indecomposable(q, r, GF2) for r in candidate])
+        e = direct_sum([indecomposable(q, r) for r in candidate])
         found = False
         for sub in subrepresentation_subspaces(e, cap, beta):
             if decompose(q, sub_representation(e, sub)) != (beta,):
@@ -732,7 +650,7 @@ def extension_root_closure(
 
 
 def is_torsion_class(q: Quiver, s: IndecSet, cap: int = DEFAULT_CAP) -> bool:
-    """Brute-force oracle: closed under quotients and extensions over GF(2)."""
+    """Brute-force oracle: closed under quotients and extensions."""
     require_finite_type(q)
     s = frozenset(s)
     _check_roots(q, s)
@@ -748,7 +666,7 @@ def is_torsion_class(q: Quiver, s: IndecSet, cap: int = DEFAULT_CAP) -> bool:
 
 def is_wide(q: Quiver, s: IndecSet, cap: int = DEFAULT_CAP) -> bool:
     """Oracle: closed under kernels, cokernels and extensions, checked on
-    every GF(2) morphism between members."""
+    every morphism between members."""
     require_finite_type(q)
     s = frozenset(s)
     _check_roots(q, s)
@@ -756,64 +674,28 @@ def is_wide(q: Quiver, s: IndecSet, cap: int = DEFAULT_CAP) -> bool:
         for beta in s:
             if not extension_root_closure(q, alpha, beta, cap) <= s:
                 return False
-            ma = indecomposable(q, alpha, GF2)
-            mb = indecomposable(q, beta, GF2)
-            basis = hom_basis(ma, mb).elements
+            ma, mb = indecomposable(q, alpha), indecomposable(q, beta)
+            # per basis element and vertex, the packed rows and columns of phi_v
+            basis = [
+                [([fields.pack(row) for row in phi[v]], _columns(phi[v], alpha[v]))
+                 for v in range(q.n)]
+                for phi in _indecomposable_hom_basis(q, alpha, beta).elements
+            ]
             for coeffs in itertools.product(range(2), repeat=len(basis)):
-                if not any(coeffs):
+                chosen = [b for b, c in zip(basis, coeffs) if c]
+                if not chosen:
                     continue
-                phi = [
-                    [
-                        [
-                            sum(c * basis[k][v][i][j] for k, c in enumerate(coeffs)) % 2
-                            for j in range(ma.dims[v])
-                        ]
-                        for i in range(mb.dims[v])
-                    ]
-                    for v in range(q.n)
-                ]
-                kernel = tuple(
-                    fields.row_space(GF2, fields.nullspace(GF2, phi[v], ma.dims[v]))
-                    for v in range(q.n)
-                )
-                if not set(decompose(q, sub_representation(ma, kernel))) <= s:
+                kernel, image = [], []
+                for v in range(q.n):
+                    rows = [0] * beta[v]
+                    cols = [0] * alpha[v]
+                    for b in chosen:
+                        rows = [x ^ y for x, y in zip(rows, b[v][0])]
+                        cols = [x ^ y for x, y in zip(cols, b[v][1])]
+                    kernel.append(tuple(fields.gf2_echelon(fields.gf2_nullspace(rows, alpha[v]))))
+                    image.append(tuple(fields.gf2_echelon(cols)))
+                if not set(decompose(q, sub_representation(ma, tuple(kernel)))) <= s:
                     return False
-                image = tuple(
-                    fields.row_space(
-                        GF2,
-                        [
-                            [phi[v][i][j] for i in range(mb.dims[v])]
-                            for j in range(ma.dims[v])
-                        ],
-                    )
-                    for v in range(q.n)
-                )
-                if not set(decompose(q, quotient_representation(mb, image))) <= s:
+                if not set(decompose(q, quotient_representation(mb, tuple(image)))) <= s:
                     return False
     return True
-
-
-def torsion_subobject(
-    q: Quiver, t: IndecSet, m: Representation, cap: int = DEFAULT_CAP
-) -> Representation:
-    """t(X): the maximal subobject of X lying in add T (field of X)."""
-    t = frozenset(t)
-    _require_torsion_class(q, t)
-    candidates = []
-    for sub in subrepresentation_subspaces(m, cap):
-        if set(decompose(q, sub_representation(m, sub))) <= t:
-            candidates.append(sub)
-    field = m.field
-
-    def contains(big, small) -> bool:
-        for v in range(q.n):
-            pivots = fields.pivots_of(field, big[v])
-            for row in small[v]:
-                if not fields.in_span(field, big[v], pivots, row):
-                    return False
-        return True
-
-    best = max(candidates, key=lambda sub: sum(len(rows) for rows in sub))
-    if not all(contains(best, other) for other in candidates):
-        raise RuntimeError("torsion subobjects have no unique maximum")
-    return sub_representation(m, best)

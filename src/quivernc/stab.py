@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .fields import GF2
 from .quiver import Quiver, Root, Vertex, euler_row, positive_roots, require_finite_type, support
 from .replab import (
     DEFAULT_CAP,
@@ -90,7 +89,7 @@ def semistable_indecs(q: Quiver, theta: Stability, cap: int = DEFAULT_CAP) -> In
     return frozenset(
         r
         for r in positive_roots(q)
-        if is_semistable(q, theta, indecomposable(q, r, GF2), cap)
+        if is_semistable(q, theta, indecomposable(q, r), cap)
     )
 
 

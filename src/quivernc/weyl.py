@@ -15,8 +15,10 @@ y = w(2 rho): z_v = (e_v, y), s_v w sends 2 rho to y - z_v e_v, and w lies
 in the parabolic subgroup on J exactly when 2 rho - y, twice the sum of
 its inversions, is supported on J. A product of reflections
 s_r = 1 - r (B r)^T is built by rank-one row updates. `GroupElement.inverse`
-and `fixed_space` remain for `verify` and the tests; the walk over W and
-absolute order live in `latt`.
+and `fixed_space`, which serve `verify` and the tests, read the canonical
+integer row space of a Bareiss echelon form (`fields.int_row_space`): the
+inverse from [mat | 1], the fixed space as the kernel of mat - 1. The walk
+over W and absolute order live in `latt`.
 
 The AR quiver is knitted from the projective roots, whose entries count
 paths, with the Coxeter transformation; its construction from explicit Hom
@@ -30,7 +32,6 @@ on column vectors: w(v) = mat . v.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from . import fields
@@ -99,18 +100,17 @@ class GroupElement(_Frozen):
         )
 
     def inverse(self) -> "GroupElement":
-        rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(self.n)]
-                for i, row in enumerate(self.mat)]
-        reduced, pivots = fields.rref(fields.QQ, rows)
-        if pivots != list(range(self.n)):
+        """The integer inverse, read off the canonical row space of [mat | 1]:
+        its rows are (d e_i | d x_i) with x_i the rows of the inverse, and d = 1
+        exactly when x_i is integral."""
+        n = self.n
+        rows = fields.int_row_space(
+            [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.mat)])
+        if any(row[i] == 0 for i, row in enumerate(rows)):
             raise ValueError("matrix is not invertible")
-        inv = []
-        for row in reduced:
-            tail = row[self.n:]
-            if any(x.denominator != 1 for x in tail):
-                raise ValueError("inverse is not integral")
-            inv.append(tuple(int(x) for x in tail))
-        return GroupElement(tuple(inv))
+        if any(row[i] != 1 for i, row in enumerate(rows)):
+            raise ValueError("inverse is not integral")
+        return GroupElement(tuple(row[n:] for row in rows))
 
     def is_identity(self) -> bool:
         return all(self.mat[i][j] == (1 if i == j else 0) for i in range(self.n) for j in range(self.n))
@@ -250,14 +250,10 @@ def length_S(q: Quiver, w: GroupElement) -> int:
     return len(inversion_set(q, w))
 
 
-def fixed_space(q: Quiver, w: GroupElement) -> tuple[tuple[Fraction, ...], ...]:
-    """Canonical rational basis of ker(mat - id)."""
-    rows = [
-        [Fraction(w.mat[i][j] - (1 if i == j else 0)) for j in range(q.n)]
-        for i in range(q.n)
-    ]
-    basis = fields.nullspace(fields.QQ, rows, q.n)
-    return fields.row_space(fields.QQ, basis)
+def fixed_space(q: Quiver, w: GroupElement) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer basis (`fields.int_row_space`) of ker(mat - id)."""
+    rows = [[w.mat[i][j] - (i == j) for j in range(q.n)] for i in range(q.n)]
+    return fields.int_nullspace(rows, q.n)
 
 
 def _validate_word(q: Quiver, c_word: tuple[Vertex, ...]) -> None:

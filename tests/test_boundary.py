@@ -6,7 +6,8 @@ W that `verify` and the tests check the fast path against.  The package
 `__init__` is production: it re-exports the fast path only.  No production
 module imports an oracle module, except `cli`, whose `verify` verb imports
 the suites when it runs.  The run-time tests check that: a data verb, or a
-bare `import quivernc`, leaves every oracle module unloaded.
+bare `import quivernc`, leaves every oracle module unloaded, and `fractions`
+too.
 """
 
 import ast
@@ -86,16 +87,16 @@ def test_the_reader_sees_every_import_form(tmp_path):
 A3 = "vertices 3\narrow 2 1\narrow 2 3"
 
 
-def oracles_loaded(*argv: str) -> list[str]:
-    """The oracle modules loaded by a fresh interpreter that runs `main(argv)`,
-    or only imports the package when argv is empty."""
+def loaded(modules, *argv: str) -> list[str]:
+    """Which of the named modules a fresh interpreter has loaded after it
+    runs `main(argv)`, or only imports the package when argv is empty."""
     code = (
         "import json, sys\n"
         "import quivernc\n"
         "if sys.argv[1:]:\n"
         "    from quivernc.cli import main\n"
         "    assert main(sys.argv[1:]) == 0\n"
-        f"print(json.dumps(sorted(m for m in {sorted(ORACLE)!r} if 'quivernc.' + m in sys.modules)))\n"
+        f"print(json.dumps(sorted(m for m in {sorted(modules)!r} if m in sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", code, *argv],
@@ -104,7 +105,11 @@ def oracles_loaded(*argv: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv", [
+def oracles_loaded(*argv: str) -> list[str]:
+    return [m.removeprefix("quivernc.") for m in loaded([f"quivernc.{m}" for m in ORACLE], *argv)]
+
+
+DATA_VERBS = pytest.mark.parametrize("argv", [
     (),
     ("roots", A3),
     ("ar", A3),
@@ -113,8 +118,18 @@ def oracles_loaded(*argv: str) -> list[str]:
      "--object", "[[0,1,0],[0,1,1],[1,1,0],[1,1,1]]"),
     ("table", A3),
 ], ids=["import", "roots", "ar", "enumerate", "map", "table"])
+
+
+@DATA_VERBS
 def test_data_verbs_leave_the_oracles_unloaded(argv):
     assert oracles_loaded(*argv) == []
+
+
+@DATA_VERBS
+def test_data_verbs_leave_fractions_unloaded(argv):
+    """The package computes on ints alone: no module imports `fractions`
+    (nor `decimal`, which it pulls in)."""
+    assert loaded(["fractions", "decimal"], *argv) == []
 
 
 def test_the_verify_verb_loads_the_oracles():

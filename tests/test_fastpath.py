@@ -10,6 +10,7 @@ from argparse import Namespace
 
 import pytest
 
+import field_reference
 import latt_reference
 from quivernc import (
     a_of,
@@ -42,7 +43,6 @@ from quivernc.cli import (
     cmd_map,
 )
 from quivernc.cluster import _orth_masks, all_cc_indecs, cc_ext_orthogonal, mutate
-from quivernc.fields import GF2, QQ
 from quivernc.latt import (
     absolute_length,
     absolute_leq,
@@ -139,7 +139,7 @@ def gf2_simples(q, a):
     summands all lie in A: the definition of a simple object of A."""
     out = set()
     for alpha in a:
-        m = indecomposable(q, alpha, GF2)
+        m = indecomposable(q, alpha)
         proper = False
         for sub in subrepresentation_subspaces(m):
             dims = tuple(len(rows) for rows in sub)
@@ -206,14 +206,16 @@ def test_orientation_counts():
 
 @pytest.mark.parametrize("q", QUIVERS)
 def test_hom_ext_closed_form_matches_explicit_reps(q):
+    """Over GF(2) by the oracle, and over Q by the tests' reference."""
     roots = positive_roots(q)
-    for field in (QQ, GF2):
-        reps = {r: indecomposable(q, r, field) for r in roots}
-        for a in roots:
-            for b in roots:
-                assert hom_dim_roots(q, a, b) == hom_dim(reps[a], reps[b]), (field, a, b)
-                assert ext_dim_roots(q, a, b) == ext_dim(q, reps[a], reps[b]), (field, a, b)
-        assert all(hom_dim_roots(q, r, r) == 1 for r in roots)  # Schur
+    reps = {r: indecomposable(q, r) for r in roots}
+    qq_reps = {r: field_reference.indecomposable(q, r) for r in roots}
+    for a in roots:
+        for b in roots:
+            assert hom_dim_roots(q, a, b) == hom_dim(reps[a], reps[b]), (a, b)
+            assert ext_dim_roots(q, a, b) == ext_dim(q, reps[a], reps[b]), (a, b)
+            assert hom_dim_roots(q, a, b) == field_reference.hom_dim(qq_reps[a], qq_reps[b])
+    assert all(hom_dim_roots(q, r, r) == 1 for r in roots)  # Schur
     for v in q.vertices:
         assert projective_root(q, v) == projective_rep(q, v).dims, v
 
@@ -250,6 +252,16 @@ def test_torsion_closure_matches_gen(q):
 
 
 @pytest.mark.parametrize("q", QUIVERS)
+def test_gen_over_gf2_matches_gen_over_q(q):
+    """The oracle's Gen over GF(2) against the tests' Gen over Q, on every
+    support tilting object and every wide subcategory a(T)."""
+    sets = list(enumerate_support_tilting(q))
+    sets += [a_of(q, t) for t in enumerate_torsion_classes(q)]
+    for s in sets:
+        assert gen(q, s) == field_reference.gen(q, s), sorted(s)
+
+
+@pytest.mark.parametrize("q", QUIVERS)
 def test_split_projectives_match_removal_loop(q):
     for t in enumerate_torsion_classes(q):
         assert split_projectives(q, t) == split_projectives_by_removal(q, t), sorted(t)
@@ -265,8 +277,9 @@ def test_wide_of_nc_inverts_cox_of_wide(q):
 def wide_of_nc_over_qq(q, w):
     """The positive roots in im(w - 1), by rational RREF of its columns."""
     moved = [[w.mat[i][j] - (i == j) for i in range(q.n)] for j in range(q.n)]
-    reduced, pivots = fields.rref(QQ, moved)
-    return frozenset(x for x in positive_roots(q) if fields.in_span(QQ, reduced, pivots, x))
+    reduced, pivots = field_reference.rref(moved)
+    return frozenset(
+        x for x in positive_roots(q) if field_reference.in_span(reduced, pivots, x))
 
 
 @pytest.mark.parametrize("q", AR_QUIVERS)

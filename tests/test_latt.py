@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import field_reference
 import latt_reference
 from quivernc import enumerate_torsion_classes, parse_quiver, positive_roots
-from quivernc.fields import QQ
 from quivernc.latt import (
     _is_left_modular,
     bounds,
@@ -19,7 +19,7 @@ from quivernc.latt import (
     splitting_chain,
     torsion_join,
 )
-from quivernc.replab import gen, is_torsion_class
+from quivernc.replab import is_torsion_class
 
 
 D4_ROOTS = positive_roots(parse_quiver("vertices 4\narrow 2 1\narrow 2 3\narrow 2 4"))
@@ -278,7 +278,7 @@ class TestPrincipalClasses:
     def test_gf2_classes_equal_the_qq_classes(self, name):
         q = parse_quiver(TEXTS[name])
         assert set(principal_torsion_classes(q)) == {
-            gen(q, frozenset({r}), QQ) for r in positive_roots(q)}
+            field_reference.gen(q, frozenset({r})) for r in positive_roots(q)}
 
     @pytest.mark.parametrize("fix", ["a3", "a4", "d4"])
     def test_one_per_root_and_join_irreducible(self, fix, request):

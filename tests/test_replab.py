@@ -1,7 +1,8 @@
 import itertools
-import json
 
 import pytest
+
+import field_reference
 
 from quivernc import (
     OracleCapError,
@@ -10,7 +11,7 @@ from quivernc import (
     positive_roots,
     tau,
 )
-from quivernc.fields import GF2, GF3, QQ, rank, zeros
+from quivernc.fields import gf2_rank, pack
 from quivernc.quiver import ext_dim_roots, hom_dim_roots
 from quivernc import replab
 from quivernc.replab import (
@@ -22,7 +23,6 @@ from quivernc.replab import (
     hom_basis,
     hom_dim,
     indecomposable,
-    injective_rep,
     projective_rep,
     reflect,
     simple_rep,
@@ -37,16 +37,16 @@ def ext_dim_cocycle(m, n):
 
     A cocycle is a tuple (c_a: M_{s(a)} -> N_{t(a)}); the coboundary of a
     vertex tuple (h_v) is (h_{t(a)} M_a - N_a h_{s(a)}).  dim Ext equals the
-    cocycle count minus the rank of the explicit coboundary matrix.
+    cocycle count minus the GF(2) rank of the explicit coboundary matrix.
     """
-    q, field = m.quiver, m.field
+    q = m.quiver
     cocycle_dim = sum(m.dims[s - 1] * n.dims[t - 1] for s, t in q.arrows)
     rows = []
     for v in range(q.n):
         for i in range(n.dims[v]):
             for j in range(m.dims[v]):
-                h = [zeros(field, n.dims[u], m.dims[u]) for u in range(q.n)]
-                h[v][i][j] = field.of_int(1)
+                h = [[[0] * m.dims[u] for _ in range(n.dims[u])] for u in range(q.n)]
+                h[v][i][j] = 1
                 image = []
                 for k, (sv, tv) in enumerate(q.arrows):
                     si, ti = sv - 1, tv - 1
@@ -60,10 +60,9 @@ def ext_dim_cocycle(m, n):
                                 n.maps[k][r][l] * h[si][l][c]
                                 for l in range(n.dims[si])
                             )
-                            image.append(field.sub(field.of_int(lhs) if isinstance(lhs, int) else lhs,
-                                                   field.of_int(rhs) if isinstance(rhs, int) else rhs))
-                rows.append(image)
-    return cocycle_dim - rank(field, rows)
+                            image.append((lhs - rhs) % 2)
+                rows.append(pack(image))
+    return cocycle_dim - gf2_rank(rows)
 
 
 class TestStandardReps:
@@ -78,6 +77,7 @@ class TestStandardReps:
         assert projective_rep(a3, 3).dims == (0, 0, 1)
 
     def test_injective_a3(self, a3):
+        injective_rep = field_reference.injective_rep
         assert injective_rep(a3, 2).dims == (0, 1, 0)
         assert injective_rep(a3, 1).dims == (1, 1, 0)
         assert injective_rep(a3, 3).dims == (0, 1, 1)
@@ -126,21 +126,17 @@ class TestHomExt:
                 assert hom_dim(m, n) - ext_dim_cocycle(m, n) == euler_form(q, a, b)
                 assert ext_dim(q, m, n) == ext_dim_cocycle(m, n)
 
-    def test_field_mismatch(self, a2):
-        with pytest.raises(ValueError):
-            hom_basis(simple_rep(a2, 1, QQ), simple_rep(a2, 1, GF2))
-
     def test_hom_basis_elements_commute(self, a3):
         m = indecomposable(a3, (1, 1, 1))
         n = indecomposable(a3, (1, 1, 0))
         basis = hom_basis(m, n)
-        from quivernc.fields import mat_mul
+
+        def mat_mul(a, b):
+            return [[sum(x * y for x, y in zip(row, col)) % 2 for col in zip(*b)] for row in a]
 
         for phi in basis.elements:
             for k, (s, t) in enumerate(a3.arrows):
-                lhs = mat_mul(QQ, phi[t - 1], m.maps[k])
-                rhs = mat_mul(QQ, n.maps[k], phi[s - 1])
-                assert lhs == rhs
+                assert mat_mul(phi[t - 1], m.maps[k]) == mat_mul(n.maps[k], phi[s - 1])
 
 
 class TestReflectionFunctors:
@@ -214,51 +210,41 @@ class TestIndecomposable:
     def test_gf2_and_rational_fingerprints_agree(self, a3):
         roots = positive_roots(a3)
         for r in roots:
-            mq = indecomposable(a3, r, QQ)
-            m2 = indecomposable(a3, r, GF2)
+            mq = field_reference.indecomposable(a3, r)
             for x in roots:
-                assert hom_dim(indecomposable(a3, x, QQ), mq) == hom_dim(
-                    indecomposable(a3, x, GF2), m2
-                )
+                assert hom_dim(indecomposable(a3, x), indecomposable(a3, r)) == (
+                    field_reference.hom_dim(field_reference.indecomposable(a3, x), mq))
 
 
 class TestSubrepresentations:
     def test_simple(self, a2):
-        assert subrep_dimvectors(simple_rep(a2, 1, GF2)) == {(0, 0), (1, 0)}
+        assert subrep_dimvectors(simple_rep(a2, 1)) == {(0, 0), (1, 0)}
 
     def test_a2_indecomposable(self, a2):
-        m = indecomposable(a2, (1, 1), GF2)
+        m = indecomposable(a2, (1, 1))
         assert subrep_dimvectors(m) == {(0, 0), (1, 0), (1, 1)}
 
     def test_a3_indecomposable(self, a3):
-        m = indecomposable(a3, (1, 1, 1), GF2)
+        m = indecomposable(a3, (1, 1, 1))
         assert subrep_dimvectors(m) == {
             (0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1),
         }
 
-    @pytest.mark.parametrize("fix", ["a2", "a3"])
-    def test_field_independence(self, fix, request):
-        q = request.getfixturevalue(fix)
-        for r in positive_roots(q):
-            assert subrep_dimvectors(indecomposable(q, r, GF2)) == subrep_dimvectors(
-                indecomposable(q, r, GF3)
-            )
-
     def test_cap(self, a2):
-        m = direct_sum([indecomposable(a2, (1, 1), GF2)] * 7)
+        m = direct_sum([indecomposable(a2, (1, 1))] * 7)
         with pytest.raises(OracleCapError):
             subrep_dimvectors(m)
 
 
 class TestDecompose:
     def test_sum_of_simples(self, a2):
-        m = direct_sum([simple_rep(a2, 1, GF2), simple_rep(a2, 1, GF2)])
+        m = direct_sum([simple_rep(a2, 1), simple_rep(a2, 1)])
         assert decompose(a2, m) == ((1, 0), (1, 0))
 
     def test_quotient_of_p2_by_socle(self, a3):
         from quivernc.replab import quotient_representation, subrepresentation_subspaces
 
-        m = indecomposable(a3, (1, 1, 1), GF2)
+        m = indecomposable(a3, (1, 1, 1))
         sub = next(
             s
             for s in subrepresentation_subspaces(m)
@@ -267,12 +253,12 @@ class TestDecompose:
         assert decompose(a3, quotient_representation(m, sub)) == ((0, 1, 0),)
 
     def test_nonsplit_extension_is_indecomposable(self, a2):
-        assert decompose(a2, indecomposable(a2, (1, 1), GF2)) == ((1, 1),)
+        assert decompose(a2, indecomposable(a2, (1, 1))) == ((1, 1),)
 
     def test_zero(self, a2):
         from quivernc.replab import zero_rep
 
-        assert decompose(a2, zero_rep(a2, GF2)) == ()
+        assert decompose(a2, zero_rep(a2)) == ()
 
 
 class TestTau:
@@ -333,114 +319,69 @@ class TestARQuiver:
         assert dot.startswith("digraph") and '"[1, 0]" -> "[1, 1]"' in dot
 
 
-def test_representation_json(a2):
-    m = indecomposable(a2, (1, 1))
-    doc = json.loads(m.to_json())
-    assert doc["dims"] == [1, 1]
-    assert doc["field"] == "Q"
-    assert doc["maps"]["0"] == [[1]]
-
-
 def test_representation_shape_validation(a2):
     with pytest.raises(ValueError):
-        Representation(a2, QQ, (1,), ())
+        Representation(a2, (1,), ())
 
 
-def clear_oracle_caches():
-    replab._indecomposable_hom_basis.cache_clear()
-    replab.indecomposable.cache_clear()
-
-
-def decompose_and_gen(q, field):
+def decompose_and_gen(q):
     """decompose on every sum of at most two indecomposables and gen on every
-    support tilting object, all over `field`."""
+    support tilting object."""
     roots = positive_roots(q)
     sums = [
-        direct_sum([indecomposable(q, r, field) for r in c])
+        direct_sum([indecomposable(q, r) for r in c])
         for k in (1, 2)
         for c in itertools.combinations_with_replacement(roots, k)
     ]
     return (
         [decompose(q, m) for m in sums],
-        [gen(q, s, field) for s in enumerate_support_tilting(q)],
+        [gen(q, s) for s in enumerate_support_tilting(q)],
     )
 
 
-@pytest.mark.parametrize("first,second", [(QQ, GF2), (GF2, QQ)])
-@pytest.mark.parametrize("fix", ["a3", "d4"])
-def test_hom_basis_cache_keeps_fields_apart(fix, first, second, request):
-    q = request.getfixturevalue(fix)
-    fresh = {}
-    for field in (first, second):
-        clear_oracle_caches()
-        fresh[field] = decompose_and_gen(q, field)
-    clear_oracle_caches()
-    assert decompose_and_gen(q, first) == fresh[first]
-    assert decompose_and_gen(q, second) == fresh[second]
-    roots = positive_roots(q)
-    for field in (first, second):
-        for a, b in itertools.product(roots, roots):
-            basis = replab._indecomposable_hom_basis(q, a, b, field)
-            assert basis.source == indecomposable(q, a, field)
-            assert basis.target == indecomposable(q, b, field)
-            assert len(basis) == hom_dim_roots(q, a, b)
-
-
-@pytest.mark.parametrize("fix", ["a3", "d4"])
+@pytest.mark.parametrize("fix", ["a3", "a4", "d4"])
 def test_gen_does_not_depend_on_the_field(fix, request):
+    """The GF(2) oracle's Gen equals the one traced over Q."""
     q = request.getfixturevalue(fix)
     for s in enumerate_support_tilting(q):
-        assert gen(q, s, GF2) == gen(q, s, QQ), sorted(s)
+        assert gen(q, s) == field_reference.gen(q, s), sorted(s)
 
 
 @pytest.mark.parametrize("fix", ["a3", "d4"])
-def test_subrep_dimvector_cache_keeps_caps_and_fields_apart(fix, request):
-    """One entry per representation and cap: the same root over GF(2) and
-    GF(3), or under two caps, never shares an entry, every entry equals the
-    uncached enumeration, and a refusal under a small cap is not cached."""
+def test_subrep_dimvector_cache_keeps_caps_apart(fix, request):
+    """One entry per representation and cap: the same root under two caps
+    never shares an entry, every entry equals the uncached enumeration, and
+    a refusal under a small cap is not cached."""
     q = request.getfixturevalue(fix)
     uncached = subrep_dimvectors.__wrapped__
     roots = positive_roots(q)
     top = max(roots, key=sum)
     subrep_dimvectors.cache_clear()
     with pytest.raises(OracleCapError):
-        subrep_dimvectors(indecomposable(q, top, GF2), sum(top) - 1)
+        subrep_dimvectors(indecomposable(q, top), sum(top) - 1)
     for cap in (sum(top), 12):
-        for field in (GF2, GF3):
-            for r in roots:
-                m = indecomposable(q, r, field)
-                assert subrep_dimvectors(m, cap) == uncached(m, cap), (cap, field, r)
-    # a simple root's representation has the same entries over both fields
-    assert subrep_dimvectors.cache_info().currsize == 2 * 2 * len(roots)
+        for r in roots:
+            m = indecomposable(q, r)
+            assert subrep_dimvectors(m, cap) == uncached(m, cap), (cap, r)
+    assert subrep_dimvectors.cache_info().currsize == 2 * len(roots)
 
 
-def test_decompose_and_gen_caches_match_fresh_results(a3):
-    """Cached answers equal those computed with the caches cleared, and a
-    representation over QQ and the same matrices over GF2 are different
-    keys: Fraction(1) == 1, so only the field tells them apart."""
-    roots = positive_roots(a3)
-    reps = [direct_sum([indecomposable(a3, a, f), indecomposable(a3, b, f)])
-            for f in (QQ, GF2) for a in roots for b in roots]
-    sets = [frozenset(roots[:k]) for k in range(len(roots) + 1)]
-
-    def answers():
-        return ([decompose(a3, m) for m in reps],
-                [gen(a3, s, f) for s in sets for f in (QQ, GF2)])
-
-    cached = answers()
-    assert answers() == cached
-    decompose.cache_clear()
-    replab._gen.cache_clear()
-    assert answers() == cached
-
-    qq, gf2 = simple_rep(a3, 1, QQ), simple_rep(a3, 1, GF2)
-    assert qq.dims == gf2.dims and qq != gf2
-    decompose.cache_clear()
-    decompose(a3, qq), decompose(a3, gf2)
-    assert decompose.cache_info().misses == 2
-    replab._gen.cache_clear()
-    gen(a3, sets[1], QQ), gen(a3, sets[1], GF2)
-    assert replab._gen.cache_info().misses == 2
+def test_decompose_and_gen_caches_match_fresh_results(a3, d4):
+    """Cached answers equal those computed with every oracle cache cleared,
+    and each Hom basis in the cache runs between the cached indecomposables."""
+    for q in (a3, d4):
+        cached = decompose_and_gen(q)
+        assert decompose_and_gen(q) == cached
+        for fn in (decompose, replab._gen, replab._trace_columns,
+                   replab._indecomposable_hom_basis, indecomposable):
+            fn.cache_clear()
+        assert decompose_and_gen(q) == cached
+        roots = positive_roots(q)
+        for a, b in itertools.product(roots, roots):
+            basis = replab._indecomposable_hom_basis(q, a, b)
+            assert basis.source == indecomposable(q, a)
+            assert basis.target == indecomposable(q, b)
+            assert len(basis) == hom_dim_roots(q, a, b)
 
 
 def test_gen_checks_roots_before_the_cache(a3):
@@ -450,7 +391,7 @@ def test_gen_checks_roots_before_the_cache(a3):
 
 
 def test_subspaces_of_one_dimension_vector(a3):
-    m = direct_sum([indecomposable(a3, (1, 1, 1), GF2), indecomposable(a3, (0, 1, 0), GF2)])
+    m = direct_sum([indecomposable(a3, (1, 1, 1)), indecomposable(a3, (0, 1, 0))])
     every = replab.subrepresentation_subspaces(m)
     for dims in {tuple(len(rows) for rows in sub) for sub in every} | {(1, 2, 1), (2, 0, 0)}:
         assert replab.subrepresentation_subspaces(m, dims=dims) == [

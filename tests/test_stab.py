@@ -7,7 +7,6 @@ from quivernc import (
     positive_roots,
     split_projectives,
 )
-from quivernc.fields import GF2
 from quivernc.quiver import support
 from quivernc.replab import direct_sum, gen, indecomposable, is_wide, simple_rep, subrep_dimvectors
 from quivernc.stab import (
@@ -65,12 +64,12 @@ class TestTheta:
 class TestSemistable:
     def test_zero_functional_accepts_everything(self, a2):
         for r in positive_roots(a2):
-            assert is_semistable(a2, (0, 0), indecomposable(a2, r, GF2))
+            assert is_semistable(a2, (0, 0), indecomposable(a2, r))
 
     def test_a2_example(self, a2):
         theta = (-1, 1)
-        assert is_semistable(a2, theta, indecomposable(a2, (1, 1), GF2))
-        assert not is_semistable(a2, theta, simple_rep(a2, 2, GF2))
+        assert is_semistable(a2, theta, indecomposable(a2, (1, 1)))
+        assert not is_semistable(a2, theta, simple_rep(a2, 2))
 
     def test_semistable_indecs_examples(self, a2, a3):
         assert semistable_indecs(a2, (0, 0)) == frozenset(positive_roots(a2))
@@ -88,7 +87,7 @@ class TestSemistable:
         thetas.append(tuple(0 for _ in range(q.n)))
         for theta in thetas:
             for r in positive_roots(q):
-                m = indecomposable(q, r, GF2)
+                m = indecomposable(q, r)
                 assert is_semistable(q, theta, m) == quotient_side_semistable(q, theta, m)
 
     def test_semistable_sets_are_wide(self, a2, a3):
@@ -140,5 +139,5 @@ def test_default_coefficients_signs(a3):
 def test_semistable_matches_wide_on_direct_sum(a2):
     # semistability of a sum at theta-degree 0 reduces to the summands
     theta = (-1, 1)
-    m = direct_sum([indecomposable(a2, (1, 1), GF2), indecomposable(a2, (1, 1), GF2)])
+    m = direct_sum([indecomposable(a2, (1, 1)), indecomposable(a2, (1, 1))])
     assert is_semistable(a2, theta, m)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from field_reference import torsion_subobject
 from quivernc import (
     a_of,
     enumerate_support_tilting,
@@ -13,7 +14,7 @@ from quivernc import (
     torsion_free_complement,
     wide_simples,
 )
-from quivernc.fields import GF2
+from quivernc.fields import gf2_echelon, gf2_nullspace, pack
 from quivernc.quiver import ext_dim_roots, hom_dim_roots
 from quivernc.replab import (
     decompose,
@@ -26,22 +27,21 @@ from quivernc.replab import (
     simple_rep,
     sub_representation,
     subrepresentation_subspaces,
-    torsion_subobject,
 )
 
 
 def a_of_kernel_oracle(q, t):
     """The kernel-condition definition of a(T), checked over GF(2) against
     morphisms from members and from two-element direct sums of members."""
-    sources = [indecomposable(q, r, GF2) for r in sorted(t)]
+    sources = [indecomposable(q, r) for r in sorted(t)]
     sources += [
-        direct_sum([indecomposable(q, r1, GF2), indecomposable(q, r2, GF2)])
+        direct_sum([indecomposable(q, r1), indecomposable(q, r2)])
         for r1 in sorted(t)
         for r2 in sorted(t)
     ]
     out = set()
     for b in sorted(t):
-        mb = indecomposable(q, b, GF2)
+        mb = indecomposable(q, b)
         good = True
         for y in sources:
             basis = hom_basis(y, mb).elements
@@ -56,10 +56,8 @@ def a_of_kernel_oracle(q, t):
                     ]
                     for v in range(q.n)
                 ]
-                from quivernc.fields import nullspace, row_space
-
                 kernel = tuple(
-                    row_space(GF2, nullspace(GF2, phi[v], y.dims[v]))
+                    tuple(gf2_echelon(gf2_nullspace(map(pack, phi[v]), y.dims[v])))
                     for v in range(q.n)
                 )
                 if not set(decompose(q, sub_representation(y, kernel))) <= t:
@@ -168,7 +166,7 @@ class TestAOf:
                     continue
                 found = False
                 for p in split:
-                    mp = indecomposable(a3, p, GF2)
+                    mp = indecomposable(a3, p)
                     for sub in subrepresentation_subspaces(mp):
                         dims = tuple(len(rows) for rows in sub)
                         if tuple(p[i] - dims[i] for i in range(3)) != x:
@@ -244,12 +242,12 @@ class TestTorsionPairs:
 
     def test_torsion_subobject_of_member(self, a2):
         t = frozenset({(1, 1), (0, 1)})
-        m = indecomposable(a2, (1, 1), GF2)
+        m = indecomposable(a2, (1, 1))
         assert torsion_subobject(a2, t, m).dims == (1, 1)
 
     def test_torsion_subobject_of_sum(self, a2):
         t = frozenset({(0, 1)})
-        m = direct_sum([simple_rep(a2, 1, GF2), simple_rep(a2, 2, GF2)])
+        m = direct_sum([simple_rep(a2, 1), simple_rep(a2, 2)])
         sub = torsion_subobject(a2, t, m)
         assert sub.dims == (0, 1)
         assert decompose(a2, sub) == ((0, 1),)
@@ -259,7 +257,7 @@ class TestTorsionPairs:
 
         t = frozenset({(0, 1)})
         f = torsion_free_complement(a2, t)
-        m = indecomposable(a2, (1, 1), GF2)
+        m = indecomposable(a2, (1, 1))
         tx = torsion_subobject(a2, t, m)
         assert tx.dims == (0, 0)  # Hom(S2, M11) = 0
         # quotient by t(X) must decompose inside the torsion free class

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import latt_reference
-from quivernc import coxeter_element, latt, ncmap, parse_quiver, positive_roots, tors, verify
+from quivernc import coxeter_element, latt, ncmap, parse_quiver, positive_roots, replab, tors, verify
 from quivernc.cli import main
 
 A2 = "vertices 2\narrow 2 1"
@@ -186,3 +186,32 @@ def test_an_image_outside_nc_fails_reading(capsys, monkeypatch, text):
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("reading: FAIL") and "order isomorphism fails at {}\n" in out
+
+
+@pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
+def test_a_gen_that_drops_a_root_fails_bijections(capsys, monkeypatch, text):
+    """The GF(2) trace loses the largest root of every answer with more than
+    one, so Gen of a(T) misses a root of T."""
+    gen = replab.gen
+
+    def drop_one(q, s):
+        out = gen(q, s)
+        return out - {max(out)} if len(out) > 1 else out
+
+    monkeypatch.setattr(replab, "gen", drop_one)
+    code = main(["verify", "--suite=bijections", text])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("bijections: FAIL") and "gen(a(T)) != T" in out
+
+
+@pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
+def test_a_perp_space_without_its_last_root_fails_bijections(capsys, monkeypatch, text):
+    """Upper summand roots are linearly independent, so leaving one out
+    enlarges the intersection of their perpendiculars."""
+    perp = ncmap._perp_intersection
+    monkeypatch.setattr(ncmap, "_perp_intersection", lambda q, roots: perp(q, roots[:-1]))
+    code = main(["verify", "--suite=bijections", text])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("bijections: FAIL") and "fixed-space description fails" in out
