@@ -25,7 +25,8 @@ suite `x` is `verify.suite_x`.  Each suite's report is printed when the
 suite finishes, before the next one runs or refuses.
 
 `main(argv)` may be called repeatedly in one process, as a query server
-does.  The argument parser is built once per process.  The quiver file is
+does.  The argument parser is built once per process, and each call parses
+its argv once, with the verb's own subparser.  The quiver file is
 read again on every call, so an edited file is picked up; `parse_quiver` is
 memoised on the text, so the same text yields the same `Quiver` object.
 """
@@ -366,6 +367,7 @@ def positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, shared by every call: it depends only
     on module constants, and `parse_args` keeps no state between calls.
+    Its `verbs` dict holds each verb's subparser, for `_parse_argv`.
     Callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="quivernc",
@@ -373,9 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
         "their bijections for finite-type quivers.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = {}
 
     def add(name: str, formats=("tsv", "json"), **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = parser.verbs[name] = sub.add_parser(name, **kwargs)
         p.add_argument("quiver", help="path to a quiver file, or inline DSL")
         if formats:
             p.add_argument("--format", choices=formats, default="tsv")
@@ -415,9 +418,23 @@ COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with argv parsed once: the
+    top-level parser would only hand argv[1:] to the verb's subparser.
+    Anything else in argv[0] (`-h`, a typo, nothing) goes to the top-level
+    parser, and leftover arguments get its error, as they would there."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return parser.parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         q = _load_quiver(args.quiver)
         code = COMMANDS[args.verb](q, args)

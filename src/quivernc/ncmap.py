@@ -116,9 +116,15 @@ def reading_nc(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> GroupE
     parabolic word sc; otherwise recurse on sw with word scs and multiply
     by s on the right (cover-reflection case) or conjugate by s.
     """
+    return _reading_nc(q, _sortable_vector(q, w, c_word), tuple(c_word))
+
+
+def _sortable_vector(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> tuple[int, ...]:
+    """w(2 rho), the vector Reading's recursions step on, once w is checked
+    to be c-sortable."""
     if not is_c_sortable(q, w, c_word):
         raise ValueError("element is not sortable for the given word")
-    return reflection_product(q, _reading_nc(q, w.apply(_two_rho(q)), tuple(c_word)))
+    return w.apply(_two_rho(q))
 
 
 def _simple_step(q: Quiver, v: Vertex, x: tuple[int, ...]) -> tuple[int, ...]:
@@ -128,7 +134,14 @@ def _simple_step(q: Quiver, v: Vertex, x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reading_nc(q: Quiver, y: tuple[int, ...], c_word: tuple[Vertex, ...]) -> tuple[Root, ...]:
+def _reading_nc(q: Quiver, y: tuple[int, ...], c_word: tuple[Vertex, ...]) -> GroupElement:
+    """`reading_nc` of the c-sortable w with w(2 rho) = y."""
+    return reflection_product(q, _reading_nc_roots(q, y, c_word))
+
+
+def _reading_nc_roots(
+    q: Quiver, y: tuple[int, ...], c_word: tuple[Vertex, ...]
+) -> tuple[Root, ...]:
     """Roots r_1..r_k with s_{r_1}...s_{r_k} the image of the w with
     w(2 rho) = y: multiplying by s_v on the right appends e_v, and
     conjugating by s_v sends each s_r to s_{s_v(r)}."""
@@ -137,8 +150,8 @@ def _reading_nc(q: Quiver, y: tuple[int, ...], c_word: tuple[Vertex, ...]) -> tu
     v = c_word[0]
     zv = _simple_pairing(q, v, y)
     if zv >= 0:
-        return _reading_nc(q, y, c_word[1:])
-    inner = _reading_nc(q, _simple_step(q, v, y), c_word[1:] + (v,))
+        return _reading_nc_roots(q, y, c_word[1:])
+    inner = _reading_nc_roots(q, _simple_step(q, v, y), c_word[1:] + (v,))
     if zv == -2:  # s_v is a cover reflection of w
         return inner + (simple_roots(q)[v - 1],)
     return tuple(_simple_step(q, v, r) for r in inner)
@@ -150,12 +163,11 @@ def reading_cl(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> IndecS
     At root level the reflection functor step sends each root through s_v
     and adjoins e_v exactly when v lies outside the support so far.
     """
-    if not is_c_sortable(q, w, c_word):
-        raise ValueError("element is not sortable for the given word")
-    return _reading_cl(q, w.apply(_two_rho(q)), tuple(c_word))
+    return _reading_cl(q, _sortable_vector(q, w, c_word), tuple(c_word))
 
 
 def _reading_cl(q: Quiver, y: tuple[int, ...], c_word: tuple[Vertex, ...]) -> IndecSet:
+    """`reading_cl` of the c-sortable w with w(2 rho) = y."""
     if y == _two_rho(q):
         return frozenset()
     v = c_word[0]
@@ -328,12 +340,21 @@ class CoverCriterionReport(NamedTuple):
 
 
 def cover_criterion_check(
-    q: Quiver, t: IndecSet, c_word: tuple[Vertex, ...]
+    q: Quiver,
+    t: IndecSet,
+    c_word: tuple[Vertex, ...],
+    sortable: GroupElement | None = None,
+    wide: IndecSet | None = None,
 ) -> CoverCriterionReport:
     """For each initial s with l_S(s w_T) < l_S(w_T): s is a cover
-    reflection of w_T exactly when the simple at s lies in a(T)."""
-    y = sortable_of_torsion(q, t).apply(_two_rho(q))
-    wide = a_of(q, t)
+    reflection of w_T exactly when the simple at s lies in a(T). w_T and
+    a(T) are `sortable` and `wide`, `sortable_of_torsion(q, t)` and
+    `a_of(q, t)` unless given."""
+    if sortable is None:
+        sortable = sortable_of_torsion(q, t)
+    if wide is None:
+        wide = a_of(q, t)
+    y = sortable.apply(_two_rho(q))
     applicable, skipped, failures = [], [], []
     for v in initial_letters(q, c_word):
         zv = _simple_pairing(q, v, y)

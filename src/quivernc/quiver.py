@@ -219,6 +219,7 @@ def cartan_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def simple_roots(q: Quiver) -> tuple[Root, ...]:
     return tuple(
         tuple(1 if i == j else 0 for j in range(q.n)) for i in range(q.n)
@@ -303,6 +304,7 @@ def is_positive_root(q: Quiver, v: DimVector) -> bool:
     return len(v) == q.n and all(x >= 0 for x in v) and symmetrized_form(q, v, v) == 2
 
 
+@lru_cache(maxsize=None)
 def coxeter_element_word(q: Quiver) -> tuple[Vertex, ...]:
     """Topological order of the vertices; reading it left to right and
     multiplying simple reflections gives cox(Q)."""

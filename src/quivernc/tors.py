@@ -11,7 +11,7 @@ closure oracles these are checked against live in `replab`.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 
 from .quiver import Quiver, Root, euler_row, positive_roots, require_finite_type
 
@@ -19,7 +19,8 @@ IndecSet = frozenset  # of Root
 
 
 def _check_roots(q: Quiver, s: IndecSet) -> None:
-    bad = [r for r in s if r not in _bits(q)]
+    bits = _bits(q)
+    bad = [r for r in s if r not in bits]
     if bad:
         raise ValueError(f"not positive roots of the quiver: {sorted(bad)}")
 
@@ -228,11 +229,22 @@ def wide_simples(q: Quiver, a: IndecSet) -> tuple[Root, ...]:
     return _wide_simples(q, a)
 
 
+@lru_cache(maxsize=None)
+def _split_masks(q: Quiver) -> dict[Root, tuple[int, ...]]:
+    """For each positive root x, the masks of the pairs {y, x - y} of
+    positive roots."""
+    bits = _bits(q)
+    out = {}
+    for x in bits:
+        diffs = ((y, tuple(map(sub, x, y))) for y in bits)
+        out[x] = tuple({bits[y] | bits[z] for y, z in diffs if z in bits})
+    return out
+
+
 def _wide_simples(q: Quiver, a: IndecSet) -> tuple[Root, ...]:
     """`wide_simples` of a set of positive roots of q."""
-    simples = [
-        x for x in a if not any(tuple(i - j for i, j in zip(x, y)) in a for y in a)
-    ]
+    members, splits = _mask(q, a), _split_masks(q)
+    simples = [x for x in a if not any(m & members == m for m in splits[x])]
     # x must precede y whenever x "hits" y (Hom(x,y) or Ext(x,y) nonzero)
     hom, ext, bits = _hom_masks(q), _ext_masks(q), _bits(q)
     hits = {x: (hom[x] | ext[x]) & ~bits[x] for x in simples}

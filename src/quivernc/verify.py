@@ -290,22 +290,27 @@ def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
         len(sortables) == len(classes),
         f"{len(sortables)} sortable elements vs {len(classes)} torsion classes",
     )
+    # per class: its Ext-projectives, a(T) and nc(T), each once
+    projectives = {t: tors.ext_projectives(q, t) for t in classes}
+    wide_of = {t: tors.a_of(q, t, projectives[t]) for t in classes}
     nc_of = {t: ncmap.nc_of_torsion(q, t) for t in classes}
     for w in sortables:
         t = ncmap.torsion_of_sortable(q, w)
+        sortable = ncmap.sortable_of_torsion(q, t)
         rep.check(
-            ncmap.sortable_of_torsion(q, t) == w,
+            sortable == w,
             lambda: f"sortable/torsion round trip fails at {reduced_word(q, w)}",
         )
+        y = ncmap._sortable_vector(q, w, cword)  # Reading's maps share one check
         rep.check(
-            ncmap.reading_nc(q, w, cword) == nc_of.get(t),
+            ncmap._reading_nc(q, y, cword) == nc_of.get(t),
             lambda: f"nc coincidence fails at {reduced_word(q, w)}",
         )
         rep.check(
-            ncmap.reading_cl(q, w, cword) == tors.ext_projectives(q, t),
+            ncmap._reading_cl(q, y, cword) == projectives.get(t),
             lambda: f"cl coincidence fails at {reduced_word(q, w)}",
         )
-        ccr = ncmap.cover_criterion_check(q, t, cword)
+        ccr = ncmap.cover_criterion_check(q, t, cword, sortable, wide_of.get(t))
         rep.check(
             ccr.passed,
             lambda: f"cover criterion fails at T={_roots_str(t)}: letters {ccr.failures}",
@@ -321,7 +326,7 @@ def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
     rep.check(set(nc_of.values()) == set(nc_index), "nc_of_torsion is not onto NC")
     position = [nc_index.get(nc_of[t], len(nc)) for t in classes]
     nc_up = nc.up + (0,)
-    wides = latt.inclusion_poset([tors.a_of(q, t) for t in classes])
+    wides = latt.inclusion_poset([wide_of[t] for t in classes])
     for i, above in enumerate(wides.up):
         image = 0
         for j in latt._bits_of(above):

@@ -13,8 +13,11 @@ so the c-sorting word of the element with inversion set N needs no matrix
 at all. Reading's induction for c-sortability steps the same way, on
 y = w(2 rho): z_v = (e_v, y), s_v w sends 2 rho to y - z_v e_v, and w lies
 in the parabolic subgroup on J exactly when 2 rho - y, twice the sum of
-its inversions, is supported on J. A product of reflections
-s_r = 1 - r (B r)^T is built by rank-one row updates. `GroupElement.inverse`
+its inversions, is supported on J. A word is multiplied out one row update
+per letter: s_v M differs from M only in row v, which becomes
+-row_v - sum_{k != v} b_vk row_k, so a letter costs O(n deg v). A product
+of reflections s_r = 1 - r (B r)^T is built by rank-one row updates, with
+B r formed once per root. `GroupElement.inverse`
 and `fixed_space`, which serve `verify` and the tests, read the canonical
 integer row space of a Bareiss echelon form (`fields.int_row_space`): the
 inverse from [mat | 1], the fixed space as the kernel of mat - 1. The walk
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from . import fields
 from .errors import FingerprintError
@@ -79,6 +83,7 @@ class GroupElement(_Frozen):
         return type(self), (self.mat,)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(n: int) -> "GroupElement":
         return GroupElement(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -87,7 +92,7 @@ class GroupElement(_Frozen):
         return len(self.mat)
 
     def apply(self, v: DimVector) -> DimVector:
-        return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in self.mat)
+        return tuple(sum(map(mul, row, v)) for row in self.mat)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         a, b = self.mat, other.mat
@@ -136,8 +141,7 @@ def reflection_product(q: Quiver, roots) -> GroupElement:
     rows = [[int(i == j) for j in range(q.n)] for i in range(q.n)]
     for r in reversed(roots):
         u = [0] * q.n
-        for i, row in enumerate(rows):
-            br = sum(b[i][k] * x for k, x in enumerate(r) if x)
+        for br, row in zip([sum(map(mul, brow, r)) for brow in b], rows):
             if br:
                 u = [x + br * y for x, y in zip(u, row)]
         for i, x in enumerate(r):
@@ -157,11 +161,29 @@ def simple_reflection(q: Quiver, v: Vertex) -> GroupElement:
     return reflection(q, simple_roots(q)[v - 1])
 
 
+@lru_cache(maxsize=None)
+def _neighbours(q: Quiver) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per vertex v - 1, the pairs (k, b_vk) with k != v - 1 and b_vk != 0:
+    the rest of row v of B, whose diagonal entry is 2 (no loops)."""
+    return tuple(
+        tuple((k, x) for k, x in enumerate(row) if x and k != v)
+        for v, row in enumerate(cartan_matrix(q))
+    )
+
+
 def word_to_element(q: Quiver, word: tuple[Vertex, ...]) -> GroupElement:
+    """s_{v_1} ... s_{v_k}, built right to left by one row update per
+    letter: row v of s_v M is -row_v - sum_{k != v} b_vk row_k."""
     for v in word:
         _check_letter(q, v)
-    simples = simple_roots(q)
-    return reflection_product(q, [simples[v - 1] for v in word])
+    neighbours = _neighbours(q)
+    rows = list(GroupElement.identity(q.n).mat)
+    for v in reversed(word):
+        row = [-x for x in rows[v - 1]]
+        for k, x in neighbours[v - 1]:
+            row = [y - x * z for y, z in zip(row, rows[k])]
+        rows[v - 1] = row
+    return GroupElement(tuple(map(tuple, rows)))
 
 
 @lru_cache(maxsize=None)
@@ -177,8 +199,7 @@ def _two_rho(q: Quiver) -> DimVector:
 
 def _pairings(q: Quiver, y: DimVector) -> list[int]:
     """B . y, whose v-th entry is (e_v, y)."""
-    b = cartan_matrix(q)
-    return [sum(b[i][j] * y[j] for j in range(q.n)) for i in range(q.n)]
+    return [sum(map(mul, row, y)) for row in cartan_matrix(q)]
 
 
 def _rho_pairings(q: Quiver, w: GroupElement) -> list[int]:
@@ -194,19 +215,21 @@ def _strip_descents(
     """Strip left descents off the element with pairings z = B w(2 rho), in
     place, until z has no negative entry: each time the smallest descent,
     or with `c_word` every descent met in passes over the word. s_v w has
-    the pairings z - z_v B e_v. Returns the letters stripped, which spell w
-    when z belonged to an element of W."""
-    b = cartan_matrix(q)
+    the pairings z - z_v B e_v: entry v turns to -z_v, and only the
+    neighbours of v change besides. Returns the letters stripped, which
+    spell w when z belonged to an element of W."""
+    neighbours = _neighbours(q)
     word = []
 
     def strip(v: Vertex) -> None:
         zv = z[v - 1]
-        for i in range(q.n):
-            z[i] -= zv * b[i][v - 1]
+        z[v - 1] = -zv
+        for k, x in neighbours[v - 1]:
+            z[k] -= zv * x
         word.append(v)
 
     if c_word is None:
-        while (v := next((v for v in q.vertices if z[v - 1] < 0), None)) is not None:
+        while (v := next((i for i, x in enumerate(z, 1) if x < 0), None)) is not None:
             strip(v)
     else:
         while any(x < 0 for x in z):
@@ -242,7 +265,7 @@ def inversion_set(q: Quiver, w: GroupElement) -> frozenset[Root]:
     """Positive roots sent to negative roots by w^{-1}."""
     y = _rho_pairings(q, w)
     return frozenset(
-        alpha for alpha in positive_roots(q) if sum(a * b for a, b in zip(alpha, y)) < 0
+        alpha for alpha in positive_roots(q) if sum(map(mul, alpha, y)) < 0
     )
 
 
@@ -292,7 +315,7 @@ def is_c_sortable(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> boo
 def _simple_pairing(q: Quiver, v: Vertex, y) -> int:
     """(e_v, y), negative for y = w(2 rho) exactly when s_v is a left
     descent of w."""
-    return sum(b * x for b, x in zip(cartan_matrix(q)[v - 1], y))
+    return sum(map(mul, cartan_matrix(q)[v - 1], y))
 
 
 def cover_reflections(q: Quiver, w: GroupElement) -> frozenset[GroupElement]:

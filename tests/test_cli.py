@@ -635,3 +635,54 @@ class TestRepeatedCalls:
         path.write_text("vertices 2\narrow 1 1")
         code, out, err = run(capsys, "roots", str(path))
         assert code == 2 and out == "" and "loop" in err
+
+
+MAP_ARGS = ["--from", "torsion", "--to", "nc"]
+PARSE_CASES = {  # id: (argv, whether it parses)
+    "roots": (["roots", A2], True),
+    "ar-dot": (["ar", A2, "--format", "dot"], True),
+    "enumerate": (["enumerate", "--what", "nc", A3], True),
+    "map": (["map", A3, *MAP_ARGS, "--object", A3_TORSION], True),
+    "table": (["table", A2, "--format", "json"], True),
+    "verify": (["verify", "--suite=reading", "--seed", "3", "--cap", "8", A3], True),
+    "help": (["-h"], False),
+    "map-help": (["map", "-h"], False),
+    "no-args": ([], False),
+    "unknown-verb": (["frobnicate", A2], False),
+    "bogus-what": (["enumerate", "--what=bogus", A2], False),
+    "missing-object": (["map", A3, *MAP_ARGS], False),
+    "trailing-bogus": (["roots", A2, "--bogus"], False),
+    "abbreviated": (["map", A3, *MAP_ARGS, "--obj", A3_TORSION], True),
+    "format-equals": (["roots", A2, "--format=json"], True),
+    "double-dash": (["roots", "--", A2], True),
+    "double-dash-map": (["map", *MAP_ARGS, "--object", A3_TORSION, "--", A3], True),
+    "option-first": (["--format=json", "roots", A2], False),
+}
+
+
+def parse_outcome(capsys, parse, argv):
+    """What parsing argv gives: its Namespace or its exit code, with the
+    text printed on stdout and stderr."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, parses", PARSE_CASES.values(), ids=PARSE_CASES)
+def test_main_parses_as_the_top_level_parser(capsys, argv, parses):
+    """`main` parses argv once, with the verb's subparser, to the same
+    Namespace, exit code, stdout and stderr as the top-level parser."""
+    want = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+    assert isinstance(want[0], argparse.Namespace) == parses
+    assert parse_outcome(capsys, cli._parse_argv, argv) == want
+    if not parses:
+        assert parse_outcome(capsys, main, argv) == want
+
+
+def test_trailing_argument_gets_the_top_level_error(capsys):
+    _, out, err = parse_outcome(capsys, main, ["roots", A2, "--bogus"])
+    assert out == "" and err.endswith("quivernc: error: unrecognized arguments: --bogus\n")
+    assert err.startswith("usage: quivernc [-h]")

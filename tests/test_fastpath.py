@@ -9,6 +9,8 @@ import itertools
 from argparse import Namespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import field_reference
 import latt_reference
@@ -110,6 +112,7 @@ EDGES = {
     "d4": (4, ((1, 2), (2, 3), (2, 4))),
 }
 D5 = "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5"
+E6 = "vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6"
 
 
 def orientations(n, edges):
@@ -129,8 +132,7 @@ WEYL_QUIVERS = QUIVERS + [pytest.param(parse_quiver("vertices 3\narrow 1 2"), id
 LATTICE_QUIVERS = WEYL_QUIVERS + [pytest.param(parse_quiver(D5), id="d5")]
 AR_QUIVERS = QUIVERS + [
     pytest.param(parse_quiver(D5), id="d5"),
-    pytest.param(parse_quiver(
-        "vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6"), id="e6"),
+    pytest.param(parse_quiver(E6), id="e6"),
 ]
 
 
@@ -450,6 +452,15 @@ def reflection_by_formula(q, r):
     return GroupElement(tuple(tuple(cols[j][i] for j in range(q.n)) for i in range(q.n)))
 
 
+def product_by_formula(q, roots):
+    """s_{r_1} ... s_{r_k} as a product of `reflection_by_formula` matrices,
+    independent of the row updates in `weyl`."""
+    product = GroupElement.identity(q.n)
+    for r in roots:
+        product = product * reflection_by_formula(q, r)
+    return product
+
+
 @pytest.mark.parametrize("q", ONE_PER_GRAPH)
 def test_one_vector_words_match_matrix_products(q):
     """Reduced and c-sorting words, reflection matrices, words multiplied
@@ -457,15 +468,38 @@ def test_one_vector_words_match_matrix_products(q):
     cword = coxeter_element_word(q)
     reflections = {reflection_by_formula(q, r): r for r in positive_roots(q)}
     assert {reflection(q, r): r for r in positive_roots(q)} == reflections
+    simples = simple_roots(q)
     for w in weyl_group(q):
         word = reduced_word(q, w)
         assert word == reduced_word_by_products(q, w)
         assert c_sorting_word(q, w, cword) == c_sorting_word_by_products(q, w, cword)
-        product = GroupElement.identity(q.n)
-        for v in word:
-            product = product * simple_reflection(q, v)
+        product = product_by_formula(q, [simples[v - 1] for v in word])
         assert word_to_element(q, word) == product == w
         assert reflection_root(q, w) == reflections.get(w)
+
+
+@pytest.mark.parametrize("quiver", ["a1", "a2", "a3", "a3_linear", "a4", "d4", D5, E6],
+                         ids=["a1", "a2", "a3", "a3_linear", "a4", "d4", "d5", "e6"])
+def test_kernels_match_formula_products(request, quiver):
+    """`reflection_product` over random root sequences and `word_to_element`
+    over random words, letters repeating, against products of
+    `reflection_by_formula` matrices. `quiver` names a conftest fixture or
+    is quiver text."""
+    if quiver.startswith("vertices"):
+        q = parse_quiver(quiver)
+    else:
+        q = request.getfixturevalue(quiver)
+    roots, simples = positive_roots(q), simple_roots(q)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(roots), max_size=8),
+           st.lists(st.integers(1, q.n), max_size=12))
+    def check(rs, word):
+        assert reflection_product(q, rs) == product_by_formula(q, rs)
+        assert word_to_element(q, tuple(word)) == product_by_formula(
+            q, [simples[v - 1] for v in word])
+
+    check()
 
 
 def nc_str_by_scan(q, w):
@@ -711,7 +745,10 @@ def test_reading_recursions_match_matrix_products(q):
 def test_cover_criterion_matches_matrix_products(q):
     cword = coxeter_element_word(q)
     for t in enumerate_torsion_classes(q):
-        assert cover_criterion_check(q, t, cword) == cover_criterion_by_products(q, t, cword)
+        report = cover_criterion_by_products(q, t, cword)
+        assert cover_criterion_check(q, t, cword) == report
+        given = cover_criterion_check(q, t, cword, sortable_of_torsion(q, t), a_of(q, t))
+        assert given == report
 
 
 @pytest.mark.parametrize("q", ONE_PER_GRAPH)
