@@ -1,7 +1,8 @@
 """Finite poset and lattice analytics, and the oracles on the lattice side:
 absolute order by integer (Bareiss) rank, the noncrossing partition poset
-[e, cox(Q)] built from its cover relations, the c-sortable elements by
-Reading's induction, meet/join of torsion classes, principal
+[e, cox(Q)] built from its cover relations, the c-sortable elements
+generated as their c-sorting words by Reading's induction and multiplied
+out one row update per letter, meet/join of torsion classes, principal
 (join-irreducible) classes and the left-modular splitting chain.
 
 A poset's relation is its bitsets: each element's up-set and down-set is
@@ -12,7 +13,8 @@ are the minimal elements of its strict up-set. Every lattice fact is read
 from the covers: two upper covers of an element must have a join, one
 minimal element of their common up-set (Bjorner-Edelman-Ziegler);
 irreducibility pairs lower or upper covers; left modularity compares ANDs
-of down-sets and of up-sets on each cover (McNamara-Thomas). [e, cox] is
+of down-sets and of up-sets on each cover, grouped by the lower end of
+the cover (McNamara-Thomas). [e, cox] is
 built downward from cox: the lower covers of v are the v s_r, a rank-one
 update of v, for the roots r in Mov(v); down-sets are unions over lower
 covers, and up-sets are pushed down them. `inclusion_poset` orders the
@@ -23,7 +25,6 @@ stays as the reference the tests compare these against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import combinations
@@ -37,11 +38,13 @@ from .replab import DEFAULT_CAP, extension_root_closure, gen
 from .tors import IndecSet, enumerate_torsion_classes
 from .weyl import (
     GroupElement,
+    _simple_pairing,
     _two_rho,
     _validate_word,
     ar_linear_order,
     coxeter_element,
     simple_reflection,
+    word_to_element,
 )
 
 
@@ -102,21 +105,6 @@ class LatticeReport:
     is_trim: bool
     left_modular_chain: tuple[int, ...] | None
 
-    def to_json(self, poset: FinitePoset, describe=str) -> str:
-        return json.dumps(
-            {
-                "is_lattice": self.is_lattice,
-                "join_irreducibles": [describe(poset.payloads[i]) for i in self.join_irreducibles],
-                "meet_irreducibles": [describe(poset.payloads[i]) for i in self.meet_irreducibles],
-                "longest_chain": self.longest_chain,
-                "is_extremal": self.is_extremal,
-                "is_trim": self.is_trim,
-                "left_modular_chain": None
-                if self.left_modular_chain is None
-                else [describe(poset.payloads[i]) for i in self.left_modular_chain],
-            }
-        )
-
 
 def bounds(p: FinitePoset) -> tuple[Callable, Callable]:
     """join(i, j), the m with up[m] == up[i] & up[j], and meet(i, j), the m
@@ -127,14 +115,19 @@ def bounds(p: FinitePoset) -> tuple[Callable, Callable]:
     return (lambda i, j: by_up.get(up[i] & up[j])), (lambda i, j: by_down.get(down[i] & down[j]))
 
 
-def _is_left_modular(x: int, p: FinitePoset, covers) -> bool:
+def _is_left_modular(x: int, p: FinitePoset, succ: list[list[int]]) -> bool:
     """No cover y < z of a lattice has x ^ y = x ^ z and x v y = x v z, as
-    ANDs of down-sets and of up-sets."""
+    ANDs of down-sets and of up-sets. The covers come grouped by their lower
+    end y, succ[y] its upper covers, so x ^ y is formed once per y; the
+    joins are compared only where the meets agree."""
     up, down = p.up, p.down
     ux, dx = up[x], down[x]
-    return not any(
-        dx & down[y] == dx & down[z] and ux & up[y] == ux & up[z] for y, z in covers
-    )
+    for y, above in enumerate(succ):
+        meet = dx & down[y]
+        for z in above:
+            if meet == dx & down[z] and ux & up[y] == ux & up[z]:
+                return False
+    return True
 
 
 def lattice_analyze(p: FinitePoset) -> LatticeReport:
@@ -181,7 +174,7 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
     if is_lattice and n:
         top = maxima[0]
 
-        left_modular = cache(lambda x: _is_left_modular(x, p, covers))
+        left_modular = cache(lambda x: _is_left_modular(x, p, succ))
 
         @cache
         def chain_from(x: int) -> tuple[int, ...] | None:
@@ -349,56 +342,54 @@ def noncrossing_partitions(q: Quiver) -> FinitePoset:
 
 
 def c_sortable_elements(q: Quiver, c_word: tuple[int, ...]) -> Iterator[GroupElement]:
-    """Every c-sortable element of W, shortest first, by Reading's
-    induction in layers by length: with s = c[0],
+    """Every c-sortable element of W, shortest first, multiplied out from
+    its c-sorting word (`_c_sortable_words`)."""
+    return (word_to_element(q, word) for word in _c_sortable_words(q, c_word))
+
+
+def _c_sortable_words(q: Quiver, c_word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The c-sorting words of the c-sortable elements of W, shortest first,
+    by Reading's induction in layers by length: with s = c[0],
 
         Sort_k(c) = {s u : u in Sort_{k-1}(c[1:] + s), s not in D_L(u)}
                     | Sort_k(W<S - s>, c[1:]).
 
     The first part has s as a left descent, the second lies in the
     parabolic subgroup on the other letters, so no element comes twice.
-    Each element is carried with y = w(2 rho): s is a left descent of u
-    exactly when (e_s, y) < 0, and s u has y - (e_s, y) e_s. Multiplying
-    by s on the left changes row s only, by the Cartan matrix B:
-    row_s - sum_k B[s][k] row_k."""
+    The c-sorting word of s u is s followed by that of u, and an element of
+    the second part keeps its word, which never uses s. Each word is
+    carried as the pair (s, word of u), so that u's word is shared, with
+    y = w(2 rho): s is a left descent of u exactly when (e_s, y) < 0, and
+    s u has y - (e_s, y) e_s."""
     require_finite_type(q)
     _validate_word(q, c_word)
-    b = cartan_matrix(q)
-    start = (GroupElement.identity(q.n).mat, _two_rho(q))
-    memo: dict[tuple[tuple[int, ...], int], list] = {}
-
-    def left_multiply(s: int, mat, y) -> tuple | None:
-        """(s u, (s u)(2 rho)) when s is not a left descent of u."""
-        row = b[s - 1]
-        zs = sum(x * z for x, z in zip(row, y))
-        if zs < 0:
-            return None
-        new_row = tuple(
-            mat[s - 1][j] - sum(row[k] * mat[k][j] for k in range(q.n))
-            for j in range(q.n)
-        )
-        return (
-            mat[: s - 1] + (new_row,) + mat[s:],
-            y[: s - 1] + (y[s - 1] - zs,) + y[s:],
-        )
-
-    def layer(word: tuple[int, ...], k: int) -> list:
-        if (word, k) not in memo:
-            if k == 0:
-                out = [start]
-            elif not word:
-                out = []
-            else:
-                s = word[0]
-                out = [x for u in layer(word[1:] + (s,), k - 1)
-                       if (x := left_multiply(s, *u)) is not None]
-                out += layer(word[1:], k)
-            memo[word, k] = out
-        return memo[word, k]
-
+    memo: dict[tuple[tuple[int, ...], int], list] = {}  # freed with the generator
     c_word = tuple(c_word)
-    return (
-        GroupElement(mat)
-        for k in range(len(positive_roots(q)) + 1)
-        for mat, _ in layer(c_word, k)
-    )
+    return (_spelled(pair) for k in range(len(positive_roots(q)) + 1)
+            for pair, _ in _sortable_layer(q, memo, c_word, k))
+
+
+def _sortable_layer(q: Quiver, memo: dict, word: tuple[int, ...], k: int) -> list:
+    """Sort_k(word) as (pair, y) entries, memoised on (word, k)."""
+    if (word, k) not in memo:
+        if k == 0:
+            out = [((), _two_rho(q))]
+        elif not word:
+            out = []
+        else:
+            s = word[0]
+            out = [((s, u), y[:s - 1] + (y[s - 1] - zs,) + y[s:])
+                   for u, y in _sortable_layer(q, memo, word[1:] + (s,), k - 1)
+                   if (zs := _simple_pairing(q, s, y)) >= 0]
+            out += _sortable_layer(q, memo, word[1:], k)
+        memo[word, k] = out
+    return memo[word, k]
+
+
+def _spelled(pair: tuple) -> tuple[int, ...]:
+    """The word held as nested pairs (s, rest), () the empty word."""
+    letters = []
+    while pair:
+        s, pair = pair
+        letters.append(s)
+    return tuple(letters)

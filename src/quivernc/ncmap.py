@@ -2,12 +2,15 @@
 elements, Reading's nc/cl recursions, exceptional sequences with the braid
 action, the cover-reflection criterion and the fixed-space description.
 
-Reading's recursions and the cover-reflection criterion step on the vector
-y = w(2 rho), as `weyl.is_c_sortable` does: z_v = (e_v, y) < 0 marks s_v as
-a left descent, and s_v w sends 2 rho to y - z_v e_v. In a simply-laced root
-system (b, 2 rho) = 2 ht(b) for every root b, so z_v = (w^-1 e_v, 2 rho) is
--2 exactly when w^-1 e_v is a negative simple root -e_u; then s_v w = w s_u
-and s_v is the cover reflection of w at the right descent u. The braid
+Reading's recursions fold over the one walk of his induction,
+`weyl._reading_descents`, which checks sortability and returns the left
+descents it strips, each with z_v = (e_v, y) for y = w(2 rho) at that step;
+the fold runs from the last descent to the first. The cover-reflection
+criterion steps on the same vector: z_v < 0 marks s_v as a left descent.
+In a simply-laced root system (b, 2 rho) = 2 ht(b) for every root b, so
+z_v = (w^-1 e_v, 2 rho) is -2 exactly when w^-1 e_v is a negative simple
+root -e_u; then s_v w = w s_u and s_v is the cover reflection of w at the
+right descent u. The braid
 action reflects root vectors, s_y(x) = x - (y, x) y, and reads the
 exceptional condition from the per-quiver Hom and Ext bitsets.
 """
@@ -18,7 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import fields
-from .cluster import CCIndec, ClusterTilting, gen_of, mutate
+from .cluster import CCIndec, ClusterTilting, gen_of
 from .errors import OracleCapError
 from .quiver import (
     Quiver,
@@ -37,16 +40,17 @@ from .tors import (
     _hom_masks,
     _wide_simples,
     a_of,
+    split_projectives,
     torsion_closure,
     wide_simples,
 )
 from .weyl import (
     GroupElement,
+    _reading_descents,
     _simple_pairing,
     _two_rho,
     fixed_space,
     inversion_set,
-    is_c_sortable,
     reflection_product,
     sorting_word_of_inversion_set,
     word_to_element,
@@ -116,15 +120,16 @@ def reading_nc(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> GroupE
     parabolic word sc; otherwise recurse on sw with word scs and multiply
     by s on the right (cover-reflection case) or conjugate by s.
     """
-    return _reading_nc(q, _sortable_vector(q, w, c_word), tuple(c_word))
+    return _reading_images(q, w, c_word)[0]
 
 
-def _sortable_vector(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> tuple[int, ...]:
-    """w(2 rho), the vector Reading's recursions step on, once w is checked
-    to be c-sortable."""
-    if not is_c_sortable(q, w, c_word):
-        raise ValueError("element is not sortable for the given word")
-    return w.apply(_two_rho(q))
+def reading_cl(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> IndecSet:
+    """Reading's recursion from sortable elements to support tilting objects.
+
+    At root level the reflection functor step sends each root through s_v
+    and adjoins e_v exactly when v lies outside the support so far.
+    """
+    return _reading_images(q, w, c_word)[1]
 
 
 def _simple_step(q: Quiver, v: Vertex, x: tuple[int, ...]) -> tuple[int, ...]:
@@ -134,55 +139,31 @@ def _simple_step(q: Quiver, v: Vertex, x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reading_nc(q: Quiver, y: tuple[int, ...], c_word: tuple[Vertex, ...]) -> GroupElement:
-    """`reading_nc` of the c-sortable w with w(2 rho) = y."""
-    return reflection_product(q, _reading_nc_roots(q, y, c_word))
-
-
-def _reading_nc_roots(
-    q: Quiver, y: tuple[int, ...], c_word: tuple[Vertex, ...]
-) -> tuple[Root, ...]:
-    """Roots r_1..r_k with s_{r_1}...s_{r_k} the image of the w with
-    w(2 rho) = y: multiplying by s_v on the right appends e_v, and
-    conjugating by s_v sends each s_r to s_{s_v(r)}."""
-    if y == _two_rho(q):
-        return ()
-    v = c_word[0]
-    zv = _simple_pairing(q, v, y)
-    if zv >= 0:
-        return _reading_nc_roots(q, y, c_word[1:])
-    inner = _reading_nc_roots(q, _simple_step(q, v, y), c_word[1:] + (v,))
-    if zv == -2:  # s_v is a cover reflection of w
-        return inner + (simple_roots(q)[v - 1],)
-    return tuple(_simple_step(q, v, r) for r in inner)
-
-
-def reading_cl(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> IndecSet:
-    """Reading's recursion from sortable elements to support tilting objects.
-
-    At root level the reflection functor step sends each root through s_v
-    and adjoins e_v exactly when v lies outside the support so far.
-    """
-    return _reading_cl(q, _sortable_vector(q, w, c_word), tuple(c_word))
-
-
-def _reading_cl(q: Quiver, y: tuple[int, ...], c_word: tuple[Vertex, ...]) -> IndecSet:
-    """`reading_cl` of the c-sortable w with w(2 rho) = y."""
-    if y == _two_rho(q):
-        return frozenset()
-    v = c_word[0]
-    if _simple_pairing(q, v, y) >= 0:
-        return _reading_cl(q, y, c_word[1:])
-    inner = _reading_cl(q, _simple_step(q, v, y), c_word[1:] + (v,))
-    out = set()
-    for root in inner:
-        image = _simple_step(q, v, root)
-        if any(x < 0 for x in image):
-            raise RuntimeError(f"reflection step produced the negative root {image}")
-        out.add(image)
-    if not any(root[v - 1] != 0 for root in inner):
-        out.add(simple_roots(q)[v - 1])
-    return frozenset(out)
+def _reading_images(
+    q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]
+) -> tuple[GroupElement, IndecSet]:
+    """`reading_nc` and `reading_cl` of w, both folded over one walk of
+    Reading's induction, from the last descent s_v stripped to the first.
+    The nc image is held as roots r_1..r_k with s_{r_1}...s_{r_k} the image:
+    multiplying by s_v on the right appends e_v, and conjugating by s_v
+    sends each s_r to s_{s_v(r)}."""
+    descents = _reading_descents(q, w.apply(_two_rho(q)), c_word)
+    if descents is None:
+        raise ValueError("element is not sortable for the given word")
+    nc: tuple[Root, ...] = ()
+    cl: set[Root] = set()
+    for v, zv in reversed(descents):
+        if zv == -2:  # s_v is a cover reflection
+            nc += (simple_roots(q)[v - 1],)
+        else:
+            nc = tuple(_simple_step(q, v, r) for r in nc)
+        images = {_simple_step(q, v, r) for r in cl}
+        if negative := [r for r in images if r[v - 1] < 0]:  # s_v changes entry v alone
+            raise RuntimeError(f"reflection step produced the negative root {negative[0]}")
+        if not any(r[v - 1] for r in cl):
+            images.add(simple_roots(q)[v - 1])
+        cl = images
+    return reflection_product(q, nc), frozenset(cl)
 
 
 def is_exceptional_sequence(q: Quiver, seq: tuple[Root, ...]) -> bool:
@@ -283,9 +264,13 @@ def braid_orbit(q: Quiver, seq: tuple[Root, ...]) -> frozenset[tuple[Root, ...]]
 
 
 def upper_indecs(q: Quiver, t: ClusterTilting) -> frozenset[CCIndec]:
-    """Summands whose mutation strictly shrinks Gen."""
-    base = gen_of(q, t)
-    return frozenset(x for x in t if gen_of(q, mutate(q, t, x)) < base)
+    """Summands whose mutation strictly shrinks Gen: the unshifted summands
+    whose roots are split projectives of Gen T. The two agree by the
+    mutation-order law: mutating T at x shrinks Gen exactly when x is such a
+    summand, and grows it otherwise. `verify --suite=bijections` checks that
+    law at every summand of every cluster-tilting object."""
+    split = split_projectives(q, gen_of(q, t))
+    return frozenset(x for x in t if not x.is_shift and x.root in split)
 
 
 def _perp_intersection(q: Quiver, roots: list[Root]) -> tuple[tuple[int, ...], ...]:

@@ -253,20 +253,11 @@ def reflect(q: Quiver, v: Vertex, direction: str, m: Representation) -> Represen
         raise ValueError("representation does not live over the given quiver")
     qr = q.reflect_at(v)
     incident = [k for k, (s, t) in enumerate(q.arrows) if s == v or t == v]
-    # match each reflected arrow occurrence with an original occurrence
-    pair_count: dict[tuple[int, int], int] = {}
-    orig_of_new: dict[int, int] = {}
-    for nk, (s, t) in enumerate(qr.arrows):
-        key = tuple(sorted((s, t)))
-        occ = pair_count.get((s, t), 0)
-        pair_count[(s, t)] = occ + 1
-        matches = [
-            k
-            for k in range(len(q.arrows))
-            if tuple(sorted(q.arrows[k])) == key
-            and ((q.arrows[k] == (s, t)) == (k not in incident))
-        ]
-        orig_of_new[nk] = matches[occ]
+    # qr.arrows is the sorted list of the reflected arrows, so a stable sort
+    # gives the original arrow of each, parallel arrows in their own order; a
+    # reversed arrow, one of whose ends is v, never equals one kept as it was
+    reflected = [(t, s) if v in (s, t) else (s, t) for s, t in q.arrows]
+    orig_of_new = sorted(range(len(q.arrows)), key=reflected.__getitem__)
 
     if direction == "+":
         if not q.is_sink(v):

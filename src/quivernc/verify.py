@@ -301,13 +301,13 @@ def suite_reading(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
             sortable == w,
             lambda: f"sortable/torsion round trip fails at {reduced_word(q, w)}",
         )
-        y = ncmap._sortable_vector(q, w, cword)  # Reading's maps share one check
+        reading_nc, reading_cl = ncmap._reading_images(q, w, cword)  # one walk
         rep.check(
-            ncmap._reading_nc(q, y, cword) == nc_of.get(t),
+            reading_nc == nc_of.get(t),
             lambda: f"nc coincidence fails at {reduced_word(q, w)}",
         )
         rep.check(
-            ncmap._reading_cl(q, y, cword) == projectives.get(t),
+            reading_cl == projectives.get(t),
             lambda: f"cl coincidence fails at {reduced_word(q, w)}",
         )
         ccr = ncmap.cover_criterion_check(q, t, cword, sortable, wide_of.get(t))

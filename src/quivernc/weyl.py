@@ -13,11 +13,14 @@ so the c-sorting word of the element with inversion set N needs no matrix
 at all. Reading's induction for c-sortability steps the same way, on
 y = w(2 rho): z_v = (e_v, y), s_v w sends 2 rho to y - z_v e_v, and w lies
 in the parabolic subgroup on J exactly when 2 rho - y, twice the sum of
-its inversions, is supported on J. A word is multiplied out one row update
-per letter: s_v M differs from M only in row v, which becomes
--row_v - sum_{k != v} b_vk row_k, so a letter costs O(n deg v). A product
-of reflections s_r = 1 - r (B r)^T is built by rank-one row updates, with
-B r formed once per root. `GroupElement.inverse`
+its inversions, is supported on J. `_reading_descents` is its one walk:
+`is_c_sortable` and Reading's maps in `ncmap` read it. The walk drops a
+non-descent letter for good, which sets the sortable elements apart, so
+the words of any element stay on `_strip_descents`. A word is multiplied
+out one row update per letter: s_v M differs from M only in row v, which
+becomes -row_v - sum_{k != v} b_vk row_k, so a letter costs O(n deg v). A
+product of reflections s_r = 1 - r (B r)^T is built by rank-one row
+updates, with B r formed once per root. `GroupElement.inverse`
 and `fixed_space`, which serve `verify` and the tests, read the canonical
 integer row space of a Bareiss echelon form (`fields.int_row_space`): the
 inverse from [mat | 1], the fixed space as the kernel of mat - 1. The walk
@@ -285,21 +288,32 @@ def _validate_word(q: Quiver, c_word: tuple[Vertex, ...]) -> None:
 
 
 def is_c_sortable(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> bool:
-    """Reading's inductive characterization of c-sortability.
+    """Whether w is c-sortable, by Reading's induction (`_reading_descents`)."""
+    return _reading_descents(q, w.apply(_two_rho(q)), c_word) is not None
+
+
+def _reading_descents(
+    q: Quiver, y: DimVector, c_word: tuple[Vertex, ...]
+) -> list[tuple[Vertex, int]] | None:
+    """Reading's inductive characterization of c-sortability, walked on
+    y = w(2 rho) as the module docstring describes.
 
     With s the first letter of the word: if l_S(sw) > l_S(w) then w must lie
-    in the reflection subgroup generated by the other simple reflections and
-    be sc-sortable; if l_S(sw) < l_S(w) then sw must be scs-sortable.
-    Stepped on y = w(2 rho), as the module docstring describes.
+    in the parabolic subgroup on the other letters and be sc-sortable; if
+    l_S(sw) < l_S(w) then sw must be scs-sortable. Returns the descents
+    stripped, as pairs (v, (e_v, y)) for y at that step, whose letters spell
+    the c-sorting word of w; None when w is not c-sortable.
     """
     require_finite_type(q)
     _validate_word(q, c_word)
     two_rho, c_word = _two_rho(q), tuple(c_word)
-    y = list(w.apply(two_rho))  # stepped in place from w(2 rho)
+    y = list(y)  # stepped in place
+    stripped = []
     while c_word:
         v = c_word[0]
         zv = _simple_pairing(q, v, y)
         if zv < 0:
+            stripped.append((v, zv))
             y[v - 1] -= zv  # y becomes (s_v w)(2 rho)
             c_word = c_word[1:] + (v,)
             continue
@@ -307,9 +321,9 @@ def is_c_sortable(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> boo
         if any(y[u - 1] != two_rho[u - 1] for u in q.vertices if u not in rest):
             # w is outside the parabolic subgroup on the other letters; the
             # letters left could not reach e either, so this only ends early
-            return False
+            return None
         c_word = rest
-    return tuple(y) == two_rho
+    return stripped if tuple(y) == two_rho else None
 
 
 def _simple_pairing(q: Quiver, v: Vertex, y) -> int:

@@ -55,7 +55,7 @@ from quivernc.latt import (
     noncrossing_partitions,
     weyl_group,
 )
-from quivernc import ncmap, weyl
+from quivernc import latt, ncmap, weyl
 from quivernc.ncmap import (
     CoverCriterionReport,
     braid_act,
@@ -189,6 +189,22 @@ def test_sortables_by_induction_match_weyl_filter(q):
         assert set(found) == latt_reference.c_sortables_by_weyl_filter(q, word), word
         lengths = [length_S(q, w) for w in found]
         assert lengths == sorted(lengths), word  # shortest first
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a3_linear", "a4", "d4", "d5", "e6"])
+def test_reading_walk_and_generator_spell_the_c_sorting_word(name, request):
+    """The letters Reading's walk strips from each c-sortable element, and
+    the words `c_sortable_elements` carries, are its c-sorting word."""
+    text = {"d5": D5, "e6": E6}.get(name)
+    q = parse_quiver(text) if text else request.getfixturevalue(name)
+    cword = coxeter_element_word(q)
+    words = list(latt._c_sortable_words(q, cword))
+    assert len(set(words)) == len(words) == len(enumerate_torsion_classes(q))
+    for word in words:
+        w = word_to_element(q, word)
+        assert c_sorting_word(q, w, cword) == word
+        descents = weyl._reading_descents(q, w.apply(_two_rho(q)), cword)
+        assert tuple(v for v, _ in descents) == word
 
 
 @pytest.mark.parametrize("q", LATTICE_QUIVERS)

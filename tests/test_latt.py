@@ -1,4 +1,3 @@
-import json
 import operator
 
 import pytest
@@ -151,8 +150,10 @@ class TestBitsetsAgainstListScans:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(p=lattices())
     def test_left_modularity_on_covers_matches_all_pairs(self, p):
-        covers = p.covers()
-        assert [_is_left_modular(x, p, covers) for x in range(len(p))] == [
+        succ = [[] for _ in range(len(p))]  # the covers, grouped by their lower end
+        for y, z in p.covers():
+            succ[y].append(z)
+        assert [_is_left_modular(x, p, succ) for x in range(len(p))] == [
             latt_reference.is_left_modular(p, x) for x in range(len(p))]
         assert lattice_analyze(p) == latt_reference.lattice_analyze(p)
 
@@ -228,12 +229,6 @@ class TestLatticeAnalyze:
         nc = noncrossing_partitions(q)
         p = latt_reference.from_elements(range(len(nc)), lambda i, j: nc.up[i] >> j & 1)
         assert lattice_analyze(p).is_lattice
-
-    def test_report_json(self, a2):
-        cp = cambrian_poset(a2)
-        doc = json.loads(lattice_analyze(cp).to_json(cp, describe=lambda s: sorted(s)))
-        assert doc["is_trim"] is True
-        assert len(doc["join_irreducibles"]) == 3
 
 
 class TestMeetJoin:

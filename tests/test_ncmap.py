@@ -255,14 +255,17 @@ class TestRSFixedSpace:
         for t in cluster_tilting_objects(q):
             assert rs_check(q, t).passed
 
-    def test_upper_equals_split_projectives(self, a3):
-        from quivernc import cluster_tilting_objects, gen_of, split_projectives
+    def test_upper_equals_split_projectives(self, a3, d4):
+        """The upper summands, read off the split projectives of Gen T, are
+        the summands whose mutation strictly shrinks Gen."""
+        from quivernc import cluster_tilting_objects, gen_of, mutate, split_projectives
 
-        for t in cluster_tilting_objects(a3):
-            genT = gen_of(a3, t)
-            split = split_projectives(a3, genT)
-            ups = upper_indecs(a3, t)
-            assert {x.root for x in ups} == split
+        for q in (a3, d4):
+            for t in cluster_tilting_objects(q):
+                genT = gen_of(q, t)
+                ups = upper_indecs(q, t)
+                assert ups == {x for x in t if gen_of(q, mutate(q, t, x)) < genT}
+                assert {x.root for x in ups} == split_projectives(q, genT)
 
 
 class TestCoverCriterion:

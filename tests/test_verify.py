@@ -9,6 +9,7 @@ import pytest
 
 import latt_reference
 from quivernc import coxeter_element, latt, ncmap, parse_quiver, positive_roots, replab, tors, verify
+from quivernc import GroupElement, weyl
 from quivernc.cli import main
 
 A2 = "vertices 2\narrow 2 1"
@@ -68,6 +69,55 @@ def test_swapped_nc_images_fail_reading(capsys, monkeypatch, text):
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("reading: FAIL") and out.count("nc coincidence fails") == 2
+
+
+@pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
+def test_a_cl_image_without_its_largest_root_fails_reading(capsys, monkeypatch, text):
+    """The fault sits in the suite's one walk per sortable element, after
+    both of Reading's maps are read from it."""
+    reading_images = ncmap._reading_images
+
+    def drop_one(q, w, c_word):
+        nc, cl = reading_images(q, w, c_word)
+        return nc, (cl - {max(cl)} if len(cl) > 1 else cl)
+
+    monkeypatch.setattr(ncmap, "_reading_images", drop_one)
+    code = main(["verify", "--suite=reading", text])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("reading: FAIL") and "cl coincidence fails" in out
+
+
+@pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
+def test_an_identity_sortable_fails_the_round_trip(capsys, monkeypatch, text):
+    nonzero = tors.enumerate_torsion_classes(parse_quiver(text))[1]
+    assert nonzero
+    sortable_of_torsion = ncmap.sortable_of_torsion
+    monkeypatch.setattr(
+        ncmap, "sortable_of_torsion",
+        lambda q, t: GroupElement.identity(q.n) if t == nonzero else sortable_of_torsion(q, t),
+    )
+    code = main(["verify", "--suite=reading", text])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("reading: FAIL") and "sortable/torsion round trip fails" in out
+
+
+def test_reading_walks_once_per_sortable_element(capsys, monkeypatch):
+    """Sortability and both of Reading's maps come from one walk of his
+    induction per sortable element: 50 on D4."""
+    walk, starts = weyl._reading_descents, []
+
+    def counted(q, y, c_word):
+        starts.append(tuple(y))
+        return walk(q, y, c_word)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quivernc" and getattr(module, "_reading_descents", None) is walk:
+            monkeypatch.setattr(module, "_reading_descents", counted)
+    code = main(["verify", "--suite=reading", D4])
+    assert code == 0 and capsys.readouterr().out.startswith("reading: pass")
+    assert len(starts) == len(set(starts)) == 50
 
 
 @pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
