@@ -8,10 +8,13 @@ dot); `map` reads and writes JSON only.
 Six kinds of object correspond one to one with the torsion classes:
 cluster tilting and support tilting objects, torsion classes, wide
 subcategories, noncrossing partitions and sortable elements.  `_KINDS`
-holds, per kind, a map to the torsion class and one back from it.  `map`
-sends its object to its torsion class and on to the target kind; `table`
-prints every kind of every torsion class.  A `map` input must be the image
-of its own torsion class, or it is a usage error.
+holds, per kind, a map to the torsion class and one back from it; each is
+the library's own checked map.  `map` sends its object to its torsion class
+and on to the target kind; `table` prints every kind of every torsion
+class.  A `map` input must be the image of its own torsion class, or it is
+a usage error.  `enumerate`, `map` and `table` print each kind one way,
+with one helper per kind and format: root sets sorted, cluster summands in
+`CCIndec.sort_key` order, group elements as reduced word and matrix.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap or
 type error, 4 internal error (an invariant check failed, such as a
@@ -37,6 +40,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
 from functools import lru_cache
 
 from . import cluster as clus
@@ -75,8 +79,23 @@ def _root_str(r) -> str:
     return "[" + ",".join(str(x) for x in r) + "]"
 
 
-def _cc_str(x: clus.CCIndec) -> str:
-    return f"P{x.shift}[1]" if x.is_shift else "M" + _root_str(x.root)
+def _roots_text(s, root_str=_root_str) -> str:
+    """A set of roots, sorted, each drawn by root_str; "0" when empty."""
+    return "+".join(root_str(r) for r in sorted(s)) if s else "0"
+
+
+def _roots_json(s) -> list:
+    return [list(r) for r in sorted(s)]
+
+
+def _summands(t) -> list[clus.CCIndec]:
+    """The summands of a cluster tilting object in their canonical order."""
+    return sorted(t, key=clus.CCIndec.sort_key)
+
+
+def _summands_text(t, root_str=_root_str) -> str:
+    return "+".join(f"P{x.shift}[1]" if x.is_shift else "M" + root_str(x.root)
+                    for x in _summands(t))
 
 
 def _word_str(word) -> str:
@@ -89,6 +108,10 @@ def _nc_str(q: Quiver, w) -> str:
     if root is not None:
         return "s" + _root_str(root)
     return _word_str(reduced_word(q, w))
+
+
+def _element_json(q: Quiver, w) -> dict:
+    return {"word": list(reduced_word(q, w)), "matrix": [list(r) for r in w.mat]}
 
 
 def _json(obj) -> str:
@@ -116,16 +139,13 @@ def cmd_ar(q: Quiver, args) -> int:
     return 0
 
 
-def _enumerate_rows(q: Quiver, what: str) -> list:
+def _enumerate_rows(q: Quiver, what: str) -> Sequence:
     if what == "torsion":
-        return [sorted(t) for t in tors.enumerate_torsion_classes(q)]
+        return tors.enumerate_torsion_classes(q)
     if what == "support-tilting":
-        return [sorted(c) for c in tors.enumerate_support_tilting(q)]
+        return tors.enumerate_support_tilting(q)
     if what == "clusters":
-        return [
-            sorted(t, key=clus.CCIndec.sort_key)
-            for t in clus.cluster_tilting_objects(q)
-        ]
+        return clus.cluster_tilting_objects(q)
     if what == "nc":
         return [
             ncmap.nc_of_torsion(q, t) for t in tors.enumerate_torsion_classes(q)
@@ -134,32 +154,26 @@ def _enumerate_rows(q: Quiver, what: str) -> list:
         words = [ncmap.sorting_word_of_torsion(q, t) for t in tors.enumerate_torsion_classes(q)]
         return sorted(words, key=lambda w: (len(w), w))
     if what == "exceptional":
-        return [list(s) for s in ncmap.complete_exceptional_sequences(q)]
+        return ncmap.complete_exceptional_sequences(q)
     raise ValueError(f"unknown enumeration {what!r}")
 
 
 def cmd_enumerate(q: Quiver, args) -> int:
     rows = _enumerate_rows(q, args.what)
+    # row -> its JSON value, row -> its text line
+    as_json, as_text = {
+        "torsion": (_roots_json, _roots_text),
+        "support-tilting": (_roots_json, _roots_text),
+        "clusters": (lambda t: [x.to_obj() for x in _summands(t)], _summands_text),
+        "nc": (lambda w: _element_json(q, w), lambda w: _nc_str(q, w)),
+        "sortables": (list, _word_str),
+        "exceptional": (lambda s: [list(r) for r in s], lambda s: "+".join(map(_root_str, s))),
+    }[args.what]
     if args.format == "json":
-        if args.what == "clusters":
-            print(_json([[x.to_obj() for x in row] for row in rows]))
-        elif args.what == "nc":
-            print(_json([{"word": list(reduced_word(q, w)),
-                          "matrix": [list(r) for r in w.mat]} for w in rows]))
-        elif args.what == "sortables":
-            print(_json([list(w) for w in rows]))
-        else:
-            print(_json([[list(r) for r in row] for row in rows]))
+        print(_json([as_json(row) for row in rows]))
     else:
         for row in rows:
-            if args.what == "clusters":
-                print("+".join(_cc_str(x) for x in row))
-            elif args.what == "nc":
-                print(_nc_str(q, row))
-            elif args.what == "sortables":
-                print(_word_str(row))
-            else:
-                print("+".join(_root_str(r) for r in row) if row else "0")
+            print(as_text(row))
     print(f"# {len(rows)} rows", file=sys.stderr)
     return 0
 
@@ -200,15 +214,11 @@ def _parse_object(q: Quiver, kind: str, text: str):
 
 def _emit_object(q: Quiver, kind: str, obj) -> str:
     if kind in ("support", "torsion", "wide"):
-        return _json([list(r) for r in sorted(obj)])
+        return _json(_roots_json(obj))
     if kind == "cluster":
-        return _json(
-            {"summands": [x.to_obj() for x in sorted(obj, key=clus.CCIndec.sort_key)]}
-        )
+        return _json({"summands": [x.to_obj() for x in _summands(obj)]})
     if kind in ("nc", "sortable"):
-        return _json(
-            {"word": list(reduced_word(q, obj)), "matrix": [list(r) for r in obj.mat]}
-        )
+        return _json(_element_json(q, obj))
     raise ValueError(f"unknown object kind {kind!r}")
 
 
@@ -217,13 +227,11 @@ def _emit_object(q: Quiver, kind: str, obj) -> str:
 # map reads the ones it starts from out of the row, so a `table` row or a
 # `map` query computes the Ext-projectives and a(T) once.  The lambdas look
 # each map up at call time, so a patched or traced library function is the
-# one that runs.  The cluster and nc maps take the unchecked cores
-# `_completion` and `_cox_of_wide`: a row's support and wide objects are
-# made from its torsion class, so there is nothing to check.
+# one that runs.
 _KINDS = {
     "cluster": ("a cluster tilting object",
                 lambda q, x: clus.gen_of(q, x),
-                lambda q, row: clus._completion(q, row["support"])),
+                lambda q, row: clus.complete_support_tilting(q, row["support"])),
     "support": ("a support tilting object",
                 lambda q, x: tors.torsion_closure(q, x),
                 lambda q, row: tors.ext_projectives(q, row["torsion"])),
@@ -235,7 +243,7 @@ _KINDS = {
              lambda q, row: tors.a_of(q, row["torsion"], row["support"])),
     "nc": ("a noncrossing partition",
            lambda q, w: tors.torsion_closure(q, ncmap.wide_of_nc(q, w)),
-           lambda q, row: ncmap._cox_of_wide(q, row["wide"])),
+           lambda q, row: ncmap.cox_of_wide(q, row["wide"])),
     "sortable": ("a sortable element",
                  lambda q, w: tors.torsion_closure(q, inversion_set(q, w)),
                  lambda q, row: ncmap.sortable_of_torsion(q, row["torsion"])),
@@ -284,15 +292,6 @@ def cmd_table(q: Quiver, args) -> int:
     def root_at(r) -> str:
         return f"{_root_str(r)}#{ar_pos[r]}"
 
-    def set_at(s) -> str:
-        return "+".join(root_at(r) for r in sorted(s)) if s else "0"
-
-    def ct_at(t) -> str:
-        return "+".join(
-            f"P{x.shift}[1]" if x.is_shift else "M" + root_at(x.root)
-            for x in sorted(t, key=clus.CCIndec.sort_key)
-        )
-
     rows = []
     for t in tors.enumerate_torsion_classes(q):
         row = _Row(q, t)
@@ -305,12 +304,11 @@ def cmd_table(q: Quiver, args) -> int:
                     "ar_order": [list(r) for r in ar_linear_order(q)],
                     "rows": [
                         {
-                            "cluster_tilting": [x.to_obj() for x in sorted(ct, key=clus.CCIndec.sort_key)],
-                            "support_tilting": [list(r) for r in sorted(c)],
-                            "torsion_class": [list(r) for r in sorted(t)],
-                            "wide_subcategory": [list(r) for r in sorted(wide)],
-                            "nc_word": list(reduced_word(q, nc)),
-                            "nc_matrix": [list(r) for r in nc.mat],
+                            "cluster_tilting": [x.to_obj() for x in _summands(ct)],
+                            "support_tilting": _roots_json(c),
+                            "torsion_class": _roots_json(t),
+                            "wide_subcategory": _roots_json(wide),
+                            **{f"nc_{k}": v for k, v in _element_json(q, nc).items()},
                             "sortable_word": list(word),
                         }
                         for ct, c, t, wide, nc, word in rows
@@ -324,10 +322,10 @@ def cmd_table(q: Quiver, args) -> int:
             print(
                 "\t".join(
                     [
-                        ct_at(ct),
-                        set_at(c),
-                        set_at(t),
-                        set_at(wide),
+                        _summands_text(ct, root_at),
+                        _roots_text(c, root_at),
+                        _roots_text(t, root_at),
+                        _roots_text(wide, root_at),
                         _nc_str(q, nc),
                         _word_str(word),
                     ]

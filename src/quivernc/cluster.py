@@ -133,11 +133,6 @@ def complete_support_tilting(q: Quiver, c: IndecSet) -> ClusterTilting:
     """Add the shifted projectives of the vertices outside the support."""
     if not is_support_tilting(q, c):
         raise ValueError("input is not a support tilting object")
-    return _completion(q, c)
-
-
-def _completion(q: Quiver, c: IndecSet) -> ClusterTilting:
-    """`complete_support_tilting` of a set known to be support tilting."""
     supp = _support(q, c)
     return frozenset(
         {cc_rep(r) for r in c} | {cc_shift(v) for v in q.vertices if not supp >> (v - 1) & 1}

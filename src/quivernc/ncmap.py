@@ -38,7 +38,6 @@ from .tors import (
     _bits,
     _ext_masks,
     _hom_masks,
-    _wide_simples,
     a_of,
     split_projectives,
     torsion_closure,
@@ -62,11 +61,6 @@ def cox_of_wide(q: Quiver, a: IndecSet) -> GroupElement:
     return reflection_product(q, wide_simples(q, a))
 
 
-def _cox_of_wide(q: Quiver, a: IndecSet) -> GroupElement:
-    """`cox_of_wide` of a set of positive roots of q, such as a(T)."""
-    return reflection_product(q, _wide_simples(q, a))
-
-
 def wide_of_nc(q: Quiver, w: GroupElement) -> IndecSet:
     """Inverse of `cox_of_wide` on NC: the positive roots in Mov(w) = im(w - 1),
     which for w below cox(Q) are those of its wide subcategory (Brady-Watt)."""
@@ -85,7 +79,7 @@ def nc_of_torsion(q: Quiver, t: IndecSet) -> GroupElement:
     (inclusion of the torsion classes themselves is the Cambrian order,
     which NC_Q does not refine).
     """
-    return _cox_of_wide(q, a_of(q, t))
+    return cox_of_wide(q, a_of(q, t))
 
 
 def sorting_word_of_torsion(q: Quiver, t: IndecSet) -> tuple[Vertex, ...]:

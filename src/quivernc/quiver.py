@@ -18,6 +18,20 @@ DimVector = tuple[int, ...]
 Root = tuple[int, ...]
 
 
+def _least_first(items, before) -> tuple | None:
+    """The lexicographically least order of `items` in which each x comes
+    after every member of `before[x]`, or None when there is no such order
+    (`before` has a cycle)."""
+    order, remaining = [], set(items)
+    while remaining:
+        ready = [x for x in remaining if remaining.isdisjoint(before[x])]
+        if not ready:
+            return None
+        order.append(min(ready))
+        remaining.remove(order[-1])
+    return tuple(order)
+
+
 class _Frozen:
     """Base of the fast path's immutable values: their `__init__` sets the
     slots with `object.__setattr__`, and any later assignment raises."""
@@ -75,23 +89,11 @@ class Quiver(_Frozen):
 
     def topological_order(self) -> tuple[Vertex, ...]:
         """Smallest-label-first topological order (sources before targets)."""
-        indeg = {v: 0 for v in self.vertices}
-        for _, t in self.arrows:
-            indeg[t] += 1
-        ready = sorted(v for v, d in indeg.items() if d == 0)
-        order: list[Vertex] = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for s, t in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0 and t not in ready:
-                        ready.append(t)
-            ready.sort()
-        if len(order) != self.n:
+        sources = {v: {s for s, t in self.arrows if t == v} for v in self.vertices}
+        order = _least_first(self.vertices, sources)
+        if order is None:
             raise ValueError("quiver has an oriented cycle")
-        return tuple(order)
+        return order
 
     def arrows_into(self, v: Vertex) -> tuple[int, ...]:
         return tuple(i for i, (_, t) in enumerate(self.arrows) if t == v)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul, sub
 
-from .quiver import Quiver, Root, euler_row, positive_roots, require_finite_type
+from .quiver import Quiver, Root, _least_first, euler_row, positive_roots, require_finite_type
 
 IndecSet = frozenset  # of Root
 
@@ -220,13 +220,22 @@ def wide_simples(q: Quiver, a: IndecSet) -> tuple[Root, ...]:
     a root subsystem, and its simples are that subsystem's base: the
     members x with x - y outside A for every member y (a positive root that
     is not simple is a simple plus a positive root).  The order places x
-    before y whenever Hom(y, x) or Ext^1(y, x) is nonzero, lexicographically
-    least among valid orders.
+    before y whenever Hom(x, y) or Ext^1(x, y) is nonzero, so no Hom or Ext^1
+    runs from a later simple to an earlier one: the least-first order under
+    "x hits y".
     """
     require_finite_type(q)
     a = frozenset(a)
     _check_roots(q, a)
-    return _wide_simples(q, a)
+    members, splits = _mask(q, a), _split_masks(q)
+    simples = [x for x in a if not any(m & members == m for m in splits[x])]
+    # x must precede y whenever x "hits" y (Hom(x,y) or Ext(x,y) nonzero)
+    hom, ext, bits = _hom_masks(q), _ext_masks(q), _bits(q)
+    hit_by = {y: [x for x in simples if x != y and (hom[x] | ext[x]) & bits[y]] for y in simples}
+    order = _least_first(simples, hit_by)
+    if order is None:
+        raise ValueError("no exceptional order exists; input is not wide")
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -239,26 +248,6 @@ def _split_masks(q: Quiver) -> dict[Root, tuple[int, ...]]:
         diffs = ((y, tuple(map(sub, x, y))) for y in bits)
         out[x] = tuple({bits[y] | bits[z] for y, z in diffs if z in bits})
     return out
-
-
-def _wide_simples(q: Quiver, a: IndecSet) -> tuple[Root, ...]:
-    """`wide_simples` of a set of positive roots of q."""
-    members, splits = _mask(q, a), _split_masks(q)
-    simples = [x for x in a if not any(m & members == m for m in splits[x])]
-    # x must precede y whenever x "hits" y (Hom(x,y) or Ext(x,y) nonzero)
-    hom, ext, bits = _hom_masks(q), _ext_masks(q), _bits(q)
-    hits = {x: (hom[x] | ext[x]) & ~bits[x] for x in simples}
-    order: list[Root] = []
-    remaining = set(simples)
-    while remaining:
-        ready = sorted(
-            x for x in remaining if not any(hits[y] & bits[x] for y in remaining)
-        )
-        if not ready:
-            raise ValueError("no exceptional order exists; input is not wide")
-        order.append(ready[0])
-        remaining.remove(ready[0])
-    return tuple(order)
 
 
 def torsion_free_complement(q: Quiver, t: IndecSet) -> IndecSet:

@@ -18,7 +18,7 @@ from typing import Callable
 from . import cluster as cl
 from . import __version__, latt, ncmap, replab, stab, tors
 from .latt import absolute_length, noncrossing_partitions
-from .quiver import Quiver, coxeter_element_word, positive_roots, support
+from .quiver import Quiver, coxeter_element_word, positive_roots
 from .weyl import coxeter_element, reduced_word, reflection_product, word_to_element
 
 
@@ -226,19 +226,16 @@ def suite_stability(q: Quiver, seed: int = 0, cap: int = 12) -> VerifyReport:
     t0 = time.monotonic()
     rng = random.Random(seed)
     for c in tors.enumerate_support_tilting(q):
-        r = stab.verify_semistable_theorem(q, c, cap=cap)
+        a0, b0 = stab.default_coefficients(q, c)
+        r = stab.verify_semistable_theorem(q, c, a0, b0, cap=cap)
         rep.check(
             r.passed,
             lambda: f"default coefficients: semistable {r.semistable} != wide {r.wide}"
             f" for C={_roots_str(c)}",
         )
-        split = tors.split_projectives(q, tors.torsion_closure(q, c))
-        supp: set[int] = set()
-        for root in c:
-            supp |= support(root)
         for _ in range(3):
-            a = {root: (0 if root in split else rng.choice([1, 2, 3])) for root in c}
-            b = {v: rng.choice([-1, -2]) for v in q.vertices if v not in supp}
+            a = {root: rng.choice([1, 2, 3]) if a0[root] else 0 for root in a0}
+            b = {v: rng.choice([-1, -2]) for v in b0}
             r = stab.verify_semistable_theorem(q, c, a, b, cap=cap)
             rep.check(
                 r.passed,

@@ -49,6 +49,7 @@ from .quiver import (
     Root,
     Vertex,
     _Frozen,
+    _least_first,
     cartan_matrix,
     coxeter_element_word,
     is_positive_root,
@@ -442,18 +443,13 @@ def ar_quiver(q: Quiver) -> tuple[tuple[Root, Root], ...]:
 @lru_cache(maxsize=None)
 def ar_linear_order(q: Quiver) -> tuple[Root, ...]:
     """Lexicographically least topological sort of the AR quiver."""
-    edges = ar_quiver(q)
-    roots = list(positive_roots(q))
-    preds: dict[Root, set[Root]] = {r: set() for r in roots}
-    for a, b in edges:
+    preds: dict[Root, set[Root]] = {r: set() for r in positive_roots(q)}
+    for a, b in ar_quiver(q):
         preds[b].add(a)
-    order = []
-    remaining = set(roots)
-    while remaining:
-        ready = sorted(r for r in remaining if not (preds[r] & remaining))
-        order.append(ready[0])
-        remaining.remove(ready[0])
-    return tuple(order)
+    order = _least_first(positive_roots(q), preds)
+    if order is None:
+        raise FingerprintError("the AR quiver has an oriented cycle")
+    return order
 
 
 def ar_dot(q: Quiver) -> str:

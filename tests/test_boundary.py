@@ -140,3 +140,35 @@ def test_cli_suites_are_the_verify_suites():
     defined = [name.removeprefix("suite_") for name, fn in vars(verify).items()
                if name.startswith("suite_") and inspect.isfunction(fn)]
     assert cli.SUITES == tuple(defined)
+
+
+def private_names_from_package(path: Path) -> set[str]:
+    """Every `_`-prefixed name (dunders aside) the file takes from another
+    quivernc module, as "module.name": imported by name, or read as an
+    attribute of a module it imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, taken = {}, set()  # local name -> module; names taken
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "quivernc":
+                    continue
+                module = module.removeprefix("quivernc").lstrip(".")
+            if module:  # from .x import name
+                taken.update(f"{module}.{a.name}" for a in node.names)
+            else:  # from . import x [as y]
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update((a.asname, a.name.split(".")[-1]) for a in node.names
+                           if a.name.startswith("quivernc.") and a.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            taken.add(f"{modules[node.value.id]}.{node.attr}")
+    return {name for name in taken
+            if (attr := name.split(".")[1]).startswith("_") and not attr.endswith("__")}
+
+
+def test_cli_takes_no_private_name_from_another_module():
+    """The CLI goes through each module's public, checked entry points."""
+    assert private_names_from_package(PACKAGE / "cli.py") == set()

@@ -222,6 +222,20 @@ class TestWideSimples:
                 a3, cox_of_wide(a3, wide)
             )
 
+    @pytest.mark.parametrize("fix", ["a1", "a2", "a3", "a3_linear", "a4", "d4"])
+    def test_order_is_least_exceptional_permutation(self, fix, request):
+        """No Hom or Ext^1 from a later simple to an earlier one, and the
+        lexicographically least such order, by brute force over at most 4!
+        permutations."""
+        from quivernc.ncmap import is_exceptional_sequence
+
+        q = request.getfixturevalue(fix)
+        for t in enumerate_torsion_classes(q):
+            simples = wide_simples(q, a_of(q, t))
+            least = next(p for p in itertools.permutations(sorted(simples))
+                         if is_exceptional_sequence(q, p))
+            assert simples == least, sorted(t)
+
     def test_order_impossible(self, a2):
         # {S1, S2} is not wide: the order constraint cannot be met twice over
         simples = wide_simples(a2, frozenset({(1, 0), (0, 1)}))
