@@ -1,5 +1,5 @@
 """Finite poset and lattice analytics, and the oracles on the lattice side:
-absolute order by integer (Bareiss) rank, the noncrossing partition poset
+absolute length by integer (Bareiss) rank, the noncrossing partition poset
 [e, cox(Q)] built from its cover relations, the c-sortable elements
 generated as their c-sorting words by Reading's induction and multiplied
 out one row update per letter, meet/join of torsion classes, principal
@@ -19,8 +19,8 @@ built downward from cox: the lower covers of v are the v s_r, a rank-one
 update of v, for the roots r in Mov(v); down-sets are unions over lower
 covers, and up-sets are pushed down them. `inclusion_poset` orders the
 Cambrian and wide families of root sets: ANDs, and complements of ORs, of
-the sets that hold each root. No suite walks the Weyl group; `weyl_group`
-stays as the reference the tests compare these against.
+the sets that hold each root. Nothing here walks the Weyl group; that
+walk and absolute order are references kept with the tests.
 """
 
 from __future__ import annotations
@@ -28,22 +28,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import combinations
-from operator import and_, mul, or_
+from operator import and_, or_
 from typing import Callable, Iterator, Sequence
 
 from . import fields
 from .ncmap import wide_of_nc
-from .quiver import Quiver, Root, cartan_matrix, positive_roots, require_finite_type
+from .quiver import Quiver, Root, _pairings, _simple_pairing, positive_roots, require_finite_type
 from .replab import DEFAULT_CAP, extension_root_closure, gen
 from .tors import IndecSet, enumerate_torsion_classes
 from .weyl import (
     GroupElement,
-    _simple_pairing,
     _two_rho,
     _validate_word,
     ar_linear_order,
     coxeter_element,
-    simple_reflection,
     word_to_element,
 )
 
@@ -256,26 +254,6 @@ def cambrian_poset(q: Quiver) -> FinitePoset:
     return inclusion_poset(enumerate_torsion_classes(q))
 
 
-@lru_cache(maxsize=None)
-def weyl_group(q: Quiver) -> tuple[GroupElement, ...]:
-    """Full finite Weyl group by breadth-first closure under the simple
-    reflections (right multiplication)."""
-    require_finite_type(q)
-    gens = [simple_reflection(q, v) for v in q.vertices]
-    seen = {GroupElement.identity(q.n)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                u = w * s
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda w: w.mat))
-
-
 def _rank_of_difference(u: GroupElement, v: GroupElement) -> int:
     """rank(u - v) = l_T(v^{-1} u): v^{-1} u fixes x exactly when u.x = v.x."""
     rows = [[x - y for x, y in zip(ru, rv)] for ru, rv in zip(u.mat, v.mat)]
@@ -287,11 +265,6 @@ def absolute_length(q: Quiver, w: GroupElement) -> int:
     """l_T(w) = n - dim fix(w) = rank(w - 1) (Carter's lemma) in finite type."""
     require_finite_type(q)
     return _rank_of_difference(w, GroupElement.identity(q.n))
-
-
-def absolute_leq(q: Quiver, u: GroupElement, v: GroupElement) -> bool:
-    """u <= v in absolute order: l_T(u) + l_T(u^{-1} v) = l_T(v)."""
-    return absolute_length(q, u) + _rank_of_difference(v, u) == absolute_length(q, v)
 
 
 def _times_reflection(v: GroupElement, r: Root, br: list[int]) -> GroupElement:
@@ -313,8 +286,7 @@ def noncrossing_partitions(q: Quiver) -> FinitePoset:
     Every element of the interval is reached, and only those. The down-set
     of v is v with the down-sets of its lower covers."""
     require_finite_type(q)
-    b = cartan_matrix(q)
-    pairings = {r: [sum(map(mul, row, r)) for row in b] for r in positive_roots(q)}  # B r
+    pairings = {r: _pairings(q, r) for r in positive_roots(q)}  # B r
     cox = coxeter_element(q)
     length = {cox: absolute_length(q, cox)}
     lower: dict[GroupElement, list[GroupElement]] = {}
@@ -378,6 +350,8 @@ def _sortable_layer(q: Quiver, memo: dict, word: tuple[int, ...], k: int) -> lis
             out = []
         else:
             s = word[0]
+            # s_s(y) spliced by hand, not by `quiver._simple_step`: the
+            # filter already holds z_s, which the step would compute again
             out = [((s, u), y[:s - 1] + (y[s - 1] - zs,) + y[s:])
                    for u, y in _sortable_layer(q, memo, word[1:] + (s,), k - 1)
                    if (zs := _simple_pairing(q, s, y)) >= 0]

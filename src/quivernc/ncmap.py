@@ -2,22 +2,24 @@
 elements, Reading's nc/cl recursions, exceptional sequences with the braid
 action, the cover-reflection criterion and the fixed-space description.
 
-Reading's recursions fold over the one walk of his induction,
-`weyl._reading_descents`, which checks sortability and returns the left
-descents it strips, each with z_v = (e_v, y) for y = w(2 rho) at that step;
-the fold runs from the last descent to the first. The cover-reflection
-criterion steps on the same vector: z_v < 0 marks s_v as a left descent.
-In a simply-laced root system (b, 2 rho) = 2 ht(b) for every root b, so
-z_v = (w^-1 e_v, 2 rho) is -2 exactly when w^-1 e_v is a negative simple
-root -e_u; then s_v w = w s_u and s_v is the cover reflection of w at the
-right descent u. The braid
-action reflects root vectors, s_y(x) = x - (y, x) y, and reads the
-exceptional condition from the per-quiver Hom and Ext bitsets.
+Reading's recursions fold over the descents of one walk,
+`weyl._reading_descents`, which checks sortability by Reading's nested
+passes and returns the left descents it strips, each with z_v = (e_v, y)
+for y = w(2 rho) at that step; the fold runs from the last descent to the
+first, moving roots by the simple step s_v of `quiver`. The
+cover-reflection criterion reads the same pairing: z_v < 0 marks s_v as a
+left descent. In a simply-laced root system (b, 2 rho) = 2 ht(b) for
+every root b, so z_v = (w^-1 e_v, 2 rho) is -2 exactly when w^-1 e_v is a
+negative simple root -e_u; then s_v w = w s_u and s_v is the cover
+reflection of w at the right descent u. The braid action reflects root
+vectors, s_y(x) = x - (y, x) y with (y, x) read from the pairings B x, and
+reads the exceptional condition from the per-quiver Hom and Ext bitsets.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from . import fields
@@ -27,6 +29,9 @@ from .quiver import (
     Quiver,
     Root,
     Vertex,
+    _pairings,
+    _simple_pairing,
+    _simple_step,
     cartan_matrix,
     coxeter_element_word,
     positive_roots,
@@ -46,7 +51,6 @@ from .tors import (
 from .weyl import (
     GroupElement,
     _reading_descents,
-    _simple_pairing,
     _two_rho,
     fixed_space,
     inversion_set,
@@ -126,13 +130,6 @@ def reading_cl(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> IndecS
     return _reading_images(q, w, c_word)[1]
 
 
-def _simple_step(q: Quiver, v: Vertex, x: tuple[int, ...]) -> tuple[int, ...]:
-    """s_v(x) = x - (e_v, x) e_v."""
-    out = list(x)
-    out[v - 1] -= _simple_pairing(q, v, x)
-    return tuple(out)
-
-
 def _reading_images(
     q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]
 ) -> tuple[GroupElement, IndecSet]:
@@ -186,7 +183,7 @@ def _pair_product(q: Quiver, x: Root, y: Root) -> GroupElement:
 
 def _reflect(q: Quiver, r: Root, x: Root) -> tuple[int, ...]:
     """s_r(x) = x - (r, x) r."""
-    rx = sum(c * _simple_pairing(q, v, x) for v, c in enumerate(r, 1) if c)
+    rx = sum(map(mul, r, _pairings(q, x)))
     return tuple(a - rx * c for a, c in zip(x, r))
 
 
@@ -270,9 +267,7 @@ def upper_indecs(q: Quiver, t: ClusterTilting) -> frozenset[CCIndec]:
 def _perp_intersection(q: Quiver, roots: list[Root]) -> tuple[tuple[int, ...], ...]:
     """Canonical integer basis (`fields.int_row_space`) of the vectors
     orthogonal to every given root under the symmetrized form."""
-    b = cartan_matrix(q)
-    rows = [[sum(b[k][j] * r[k] for k in range(q.n)) for j in range(q.n)] for r in roots]
-    return fields.int_nullspace(rows, q.n)
+    return fields.int_nullspace([_pairings(q, r) for r in roots], q.n)
 
 
 class RSReport(NamedTuple):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import lru_cache
+from operator import mul
 
 from .errors import NotFiniteTypeError, QuiverSyntaxError
 
@@ -221,6 +222,24 @@ def cartan_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _pairings(q: Quiver, y: DimVector) -> list[int]:
+    """B . y, B the Cartan matrix: its v-th entry is (e_v, y)."""
+    return [sum(map(mul, row, y)) for row in cartan_matrix(q)]
+
+
+def _simple_pairing(q: Quiver, v: Vertex, y: DimVector) -> int:
+    """(e_v, y), negative for y = w(2 rho) exactly when s_v is a left
+    descent of w."""
+    return sum(map(mul, cartan_matrix(q)[v - 1], y))
+
+
+def _simple_step(q: Quiver, v: Vertex, y: DimVector) -> DimVector:
+    """s_v(y) = y - (e_v, y) e_v: only entry v changes."""
+    out = list(y)
+    out[v - 1] -= _simple_pairing(q, v, y)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def simple_roots(q: Quiver) -> tuple[Root, ...]:
     return tuple(
@@ -282,19 +301,13 @@ def positive_roots(q: Quiver) -> tuple[Root, ...]:
     """All v >= 0 with (v,v) = 2, found by closing the simples under
     simple reflections; lexicographically sorted."""
     require_finite_type(q)
-    b = cartan_matrix(q)
-
-    def reflect(v: Root, i: int) -> Root:
-        c = sum(b[i][k] * v[k] for k in range(q.n))
-        return tuple(v[k] - (c if k == i else 0) for k in range(q.n))
-
     found: set[Root] = set(simple_roots(q))
     frontier = list(found)
     while frontier:
         nxt = []
         for v in frontier:
-            for i in range(q.n):
-                w = reflect(v, i)
+            for u in q.vertices:
+                w = _simple_step(q, u, v)
                 if all(x >= 0 for x in w) and w not in found:
                     found.add(w)
                     nxt.append(w)

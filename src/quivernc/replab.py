@@ -38,13 +38,14 @@ from .quiver import (
     Quiver,
     Root,
     Vertex,
+    _simple_step,
     euler_form,
     is_positive_root,
     positive_roots,
     require_finite_type,
 )
 from .tors import IndecSet, _check_roots
-from .weyl import ar_linear_order, reflection
+from .weyl import ar_linear_order
 
 DEFAULT_CAP = 12
 
@@ -351,7 +352,7 @@ def indecomposable(q: Quiver, root: Root) -> Representation:
             if _is_simple_root(cur) is not None:
                 break
             steps.append((cur_q, v))
-            cur = reflection(cur_q, tuple(1 if u == v else 0 for u in cur_q.vertices)).apply(cur)
+            cur = _simple_step(cur_q, v, cur)
             cur_q = cur_q.reflect_at(v)
     m = simple_rep(cur_q, _is_simple_root(cur))
     for prev_q, v in reversed(steps):

@@ -47,20 +47,15 @@ def theta_of_support_tilting(
     a_i = 0 on split projectives, a_i > 0 on non-split ones, b_j < 0."""
     if not is_support_tilting(q, c):
         raise ValueError("input is not a support tilting object")
-    c = frozenset(c)
-    if set(a) != set(c):
+    a0, b0 = default_coefficients(q, c)
+    if set(a) != set(a0):
         raise ValueError("a-coefficients must be indexed exactly by the summands")
-    supp: set[Vertex] = set()
-    for r in c:
-        supp |= support(r)
-    off = {v for v in q.vertices if v not in supp}
-    if set(b) != off:
+    if set(b) != set(b0):
         raise ValueError("b-coefficients must be indexed exactly by the off-support vertices")
-    split = split_projectives(q, torsion_closure(q, c))
     for r, coeff in a.items():
-        if r in split and coeff != 0:
+        if a0[r] == 0 and coeff != 0:
             raise ValueError(f"a-coefficient of split projective {r} must be 0")
-        if r not in split and coeff <= 0:
+        if a0[r] and coeff <= 0:
             raise ValueError(f"a-coefficient of non-split summand {r} must be positive")
     for v, coeff in b.items():
         if coeff >= 0:

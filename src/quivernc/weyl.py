@@ -10,21 +10,22 @@ matrix) mark the left descents of w, the v with z_v < 0, and s_v w has the
 pairings z - z_v B e_v, so stripping a letter costs O(n), not a matrix
 product. An inversion set N fixes the vector, w(2 rho) = 2 rho - 2 sum(N),
 so the c-sorting word of the element with inversion set N needs no matrix
-at all. Reading's induction for c-sortability steps the same way, on
-y = w(2 rho): z_v = (e_v, y), s_v w sends 2 rho to y - z_v e_v, and w lies
-in the parabolic subgroup on J exactly when 2 rho - y, twice the sum of
-its inversions, is supported on J. `_reading_descents` is its one walk:
-`is_c_sortable` and Reading's maps in `ncmap` read it. The walk drops a
-non-descent letter for good, which sets the sortable elements apart, so
-the words of any element stay on `_strip_descents`. A word is multiplied
-out one row update per letter: s_v M differs from M only in row v, which
-becomes -row_v - sum_{k != v} b_vk row_k, so a letter costs O(n deg v). A
-product of reflections s_r = 1 - r (B r)^T is built by rank-one row
-updates, with B r formed once per root. `GroupElement.inverse`
-and `fixed_space`, which serve `verify` and the tests, read the canonical
-integer row space of a Bareiss echelon form (`fields.int_row_space`): the
-inverse from [mat | 1], the fixed space as the kernel of mat - 1. The walk
-over W and absolute order live in `latt`.
+at all. `_strip_descents` is the one descent walk, and it records z_v
+with each letter. Reading defines w as c-sortable when the passes of its
+c-sorting word over c strip nested sets of letters, K_1 >= K_2 >= ...;
+`_reading_descents` checks that on the walk, for `is_c_sortable` and
+Reading's maps in `ncmap`. A word on part J of the vertices first needs w
+in the parabolic subgroup on J: 2 rho - w(2 rho), twice the sum of its
+inversions, supported on J. B y and the step s_v(y) = y - (e_v, y) e_v
+live in `quiver`. A word is multiplied out one row update per letter:
+s_v M differs from M only in row v, which becomes
+-row_v - sum_{k != v} b_vk row_k, so a letter costs O(n deg v). A product
+of reflections s_r = 1 - r (B r)^T is built by rank-one row updates, with
+B r formed once per root. `GroupElement.inverse` and `fixed_space`, which
+serve `verify` and the tests, read the canonical integer row space of a
+Bareiss echelon form (`fields.int_row_space`): the inverse from
+[mat | 1], the fixed space as the kernel of mat - 1. Absolute length
+lives in `latt`.
 
 The AR quiver is knitted from the projective roots, whose entries count
 paths, with the Coxeter transformation; its construction from explicit Hom
@@ -50,6 +51,8 @@ from .quiver import (
     Vertex,
     _Frozen,
     _least_first,
+    _pairings,
+    _simple_step,
     cartan_matrix,
     coxeter_element_word,
     is_positive_root,
@@ -126,9 +129,7 @@ class GroupElement(_Frozen):
 
 
 def _check_root(q: Quiver, v: Root) -> None:
-    if len(v) != q.n or sum(
-        cartan_matrix(q)[i][j] * v[i] * v[j] for i in range(q.n) for j in range(q.n)
-    ) != 2:
+    if len(v) != q.n or sum(map(mul, v, _pairings(q, v))) != 2:
         raise ValueError(f"{v} is not a root")
 
 
@@ -141,11 +142,10 @@ def reflection(q: Quiver, v: Root) -> GroupElement:
 def reflection_product(q: Quiver, roots) -> GroupElement:
     """s_{r_1} ... s_{r_k} for roots r_i, built right to left by rank-one
     row updates: s_r M = M - r ((B r)^T M)."""
-    b = cartan_matrix(q)
     rows = [[int(i == j) for j in range(q.n)] for i in range(q.n)]
     for r in reversed(roots):
         u = [0] * q.n
-        for br, row in zip([sum(map(mul, brow, r)) for brow in b], rows):
+        for br, row in zip(_pairings(q, r), rows):
             if br:
                 u = [x + br * y for x, y in zip(u, row)]
         for i, x in enumerate(r):
@@ -201,11 +201,6 @@ def _two_rho(q: Quiver) -> DimVector:
     return tuple(map(sum, zip(*positive_roots(q))))
 
 
-def _pairings(q: Quiver, y: DimVector) -> list[int]:
-    """B . y, whose v-th entry is (e_v, y)."""
-    return [sum(map(mul, row, y)) for row in cartan_matrix(q)]
-
-
 def _rho_pairings(q: Quiver, w: GroupElement) -> list[int]:
     """B . w(2 rho), B the Cartan matrix. Its dot product with a root a is
     (a, w(2 rho)) = (w^{-1} a, 2 rho), which is negative exactly when
@@ -215,22 +210,23 @@ def _rho_pairings(q: Quiver, w: GroupElement) -> list[int]:
 
 def _strip_descents(
     q: Quiver, z: list[int], c_word: tuple[Vertex, ...] | None = None
-) -> tuple[Vertex, ...]:
+) -> list[tuple[Vertex, int]]:
     """Strip left descents off the element with pairings z = B w(2 rho), in
     place, until z has no negative entry: each time the smallest descent,
     or with `c_word` every descent met in passes over the word. s_v w has
     the pairings z - z_v B e_v: entry v turns to -z_v, and only the
-    neighbours of v change besides. Returns the letters stripped, which
-    spell w when z belonged to an element of W."""
+    neighbours of v change besides. Returns the pairs (v, z_v) stripped,
+    z_v read just before the strip; the letters spell w when z belonged to
+    an element of W."""
     neighbours = _neighbours(q)
-    word = []
+    stripped = []
 
     def strip(v: Vertex) -> None:
         zv = z[v - 1]
         z[v - 1] = -zv
         for k, x in neighbours[v - 1]:
             z[k] -= zv * x
-        word.append(v)
+        stripped.append((v, zv))
 
     if c_word is None:
         while (v := next((i for i, x in enumerate(z, 1) if x < 0), None)) is not None:
@@ -240,7 +236,7 @@ def _strip_descents(
             for v in c_word:
                 if z[v - 1] < 0:
                     strip(v)
-    return tuple(word)
+    return stripped
 
 
 def sorting_word_of_inversion_set(
@@ -257,12 +253,12 @@ def sorting_word_of_inversion_set(
     y = [x - 2 * sum(r[i] for r in roots) for i, x in enumerate(_two_rho(q))]
     z = _pairings(q, y)
     start = list(z)
-    word = _strip_descents(q, z, c_word)
+    stripped = _strip_descents(q, z, c_word)
     if z != _pairings(q, _two_rho(q)) or any(
         sum(x * p for x, p in zip(r, start)) >= 0 for r in roots
     ):
         raise ValueError("no group element has the given roots as inversion set")
-    return word
+    return tuple(v for v, _ in stripped)
 
 
 def inversion_set(q: Quiver, w: GroupElement) -> frozenset[Root]:
@@ -284,53 +280,43 @@ def fixed_space(q: Quiver, w: GroupElement) -> tuple[tuple[int, ...], ...]:
 
 
 def _validate_word(q: Quiver, c_word: tuple[Vertex, ...]) -> None:
-    if len(set(c_word)) != len(c_word) or any(not 1 <= v <= q.n for v in c_word):
+    for v in c_word:
+        _check_letter(q, v)
+    if len(set(c_word)) != len(c_word):
         raise ValueError(f"invalid Coxeter word {c_word!r}")
 
 
 def is_c_sortable(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> bool:
-    """Whether w is c-sortable, by Reading's induction (`_reading_descents`)."""
+    """Whether w is c-sortable, by Reading's nested passes (`_reading_descents`)."""
     return _reading_descents(q, w.apply(_two_rho(q)), c_word) is not None
 
 
 def _reading_descents(
     q: Quiver, y: DimVector, c_word: tuple[Vertex, ...]
 ) -> list[tuple[Vertex, int]] | None:
-    """Reading's inductive characterization of c-sortability, walked on
-    y = w(2 rho) as the module docstring describes.
-
-    With s the first letter of the word: if l_S(sw) > l_S(w) then w must lie
-    in the parabolic subgroup on the other letters and be sc-sortable; if
-    l_S(sw) < l_S(w) then sw must be scs-sortable. Returns the descents
-    stripped, as pairs (v, (e_v, y)) for y at that step, whose letters spell
-    the c-sorting word of w; None when w is not c-sortable.
-    """
+    """c-sortability by Reading's nested passes, on y = w(2 rho) as the
+    module docstring describes. Returns the descents stripped, as pairs
+    (v, (e_v, y)) for y at that step, whose letters spell the c-sorting word
+    of w; None when w is not c-sortable. A pass ends where the next letter
+    stripped does not come later in the word: no strip comes between, so a
+    letter that was no descent when the last pass reached it is none when
+    the next pass does."""
     require_finite_type(q)
     _validate_word(q, c_word)
-    two_rho, c_word = _two_rho(q), tuple(c_word)
-    y = list(y)  # stepped in place
-    stripped = []
-    while c_word:
-        v = c_word[0]
-        zv = _simple_pairing(q, v, y)
-        if zv < 0:
-            stripped.append((v, zv))
-            y[v - 1] -= zv  # y becomes (s_v w)(2 rho)
-            c_word = c_word[1:] + (v,)
-            continue
-        rest = c_word[1:]
-        if any(y[u - 1] != two_rho[u - 1] for u in q.vertices if u not in rest):
-            # w is outside the parabolic subgroup on the other letters; the
-            # letters left could not reach e either, so this only ends early
+    two_rho = _two_rho(q)
+    if any(y[u - 1] != two_rho[u - 1] for u in q.vertices if u not in c_word):
+        return None
+    stripped = _strip_descents(q, _pairings(q, y), tuple(c_word))
+    place = {v: i for i, v in enumerate(c_word)}
+    before, this, last = set(c_word), set(), -1
+    for v, _ in stripped:
+        if place[v] <= last:  # a new pass
+            before, this = this, set()
+        if v not in before:
             return None
-        c_word = rest
-    return stripped if tuple(y) == two_rho else None
-
-
-def _simple_pairing(q: Quiver, v: Vertex, y) -> int:
-    """(e_v, y), negative for y = w(2 rho) exactly when s_v is a left
-    descent of w."""
-    return sum(map(mul, cartan_matrix(q)[v - 1], y))
+        this.add(v)
+        last = place[v]
+    return stripped
 
 
 def cover_reflections(q: Quiver, w: GroupElement) -> frozenset[GroupElement]:
@@ -359,7 +345,7 @@ def reflection_root(q: Quiver, w: GroupElement) -> Root | None:
 
 def reduced_word(q: Quiver, w: GroupElement) -> tuple[Vertex, ...]:
     """Canonical reduced word: repeatedly strip the smallest left descent."""
-    return _strip_descents(q, _rho_pairings(q, w))
+    return tuple(v for v, _ in _strip_descents(q, _rho_pairings(q, w)))
 
 
 def c_sorting_word(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> tuple[Vertex, ...]:
@@ -367,7 +353,7 @@ def c_sorting_word(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> tu
     _validate_word(q, c_word)
     if len(set(c_word)) != q.n:
         raise ValueError("c-sorting needs a full Coxeter word")
-    return _strip_descents(q, _rho_pairings(q, w), tuple(c_word))
+    return tuple(v for v, _ in _strip_descents(q, _rho_pairings(q, w), tuple(c_word)))
 
 
 def projective_root(q: Quiver, v: Vertex) -> Root:
@@ -410,16 +396,14 @@ def ar_quiver(q: Quiver) -> tuple[tuple[Root, Root], ...]:
     satisfies dim tau^-1 X = sum of the successors of X - dim X.
     """
     require_finite_type(q)
-    b = cartan_matrix(q)
     orbit: dict[tuple[Vertex, int], Root] = {}  # (v, k) -> dim tau^-k P_v
     for v in q.vertices:
         x, k = projective_root(q, v), 0
         while all(c >= 0 for c in x):  # a root is positive or negative
             orbit[v, k] = x
-            x, k = list(x), k + 1
+            k += 1
             for u in coxeter_element_word(q):  # cox^-1 = s_{u_n} ... s_{u_1}
-                x[u - 1] -= sum(b[u - 1][j] * x[j] for j in range(q.n))
-            x = tuple(x)
+                x = _simple_step(q, u, x)
     if sorted(orbit.values()) != list(positive_roots(q)):
         raise FingerprintError("the tau^-1 orbits of the projectives are not the positive roots")
     edges = []

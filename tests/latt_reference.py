@@ -1,5 +1,7 @@
 """List-based references for the bitset lattice layer and the Weyl-group
 walks that `latt` no longer takes: the definitions, scanned pair by pair.
+`weyl_group` closes W under the simple reflections, and `absolute_leq`
+tests absolute order on a pair.
 
 `test_latt`, `test_fastpath` and the `hypothesis` relation tests compare
 `latt` against these. `from_elements` builds a checked `FinitePoset` from
@@ -8,14 +10,9 @@ an order function, for posets the tests write out by hand.
 
 from functools import lru_cache
 
-from quivernc.latt import (
-    FinitePoset,
-    LatticeReport,
-    absolute_leq,
-    absolute_length,
-    weyl_group,
-)
-from quivernc.weyl import coxeter_element, is_c_sortable
+from quivernc.latt import FinitePoset, LatticeReport, _rank_of_difference, absolute_length
+from quivernc.quiver import require_finite_type
+from quivernc.weyl import GroupElement, coxeter_element, is_c_sortable, simple_reflection
 
 
 def leq(p: FinitePoset, i: int, j: int) -> bool:
@@ -163,6 +160,31 @@ def lattice_analyze(p: FinitePoset) -> LatticeReport:
         is_trim=is_extremal and chain is not None,
         left_modular_chain=chain,
     )
+
+
+@lru_cache(maxsize=None)
+def weyl_group(q) -> tuple[GroupElement, ...]:
+    """Full finite Weyl group by breadth-first closure under the simple
+    reflections (right multiplication)."""
+    require_finite_type(q)
+    gens = [simple_reflection(q, v) for v in q.vertices]
+    seen = {GroupElement.identity(q.n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                u = w * s
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda w: w.mat))
+
+
+def absolute_leq(q, u: GroupElement, v: GroupElement) -> bool:
+    """u <= v in absolute order: l_T(u) + l_T(u^{-1} v) = l_T(v)."""
+    return absolute_length(q, u) + _rank_of_difference(v, u) == absolute_length(q, v)
 
 
 def noncrossing_partitions_by_weyl_filter(q) -> FinitePoset:

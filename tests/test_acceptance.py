@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from latt_reference import absolute_leq, weyl_group
 from quivernc import (
     GroupElement,
     a_of,
@@ -38,12 +39,10 @@ from quivernc import (
 )
 from quivernc.latt import (
     absolute_length,
-    absolute_leq,
     cambrian_poset,
     lattice_analyze,
     noncrossing_partitions,
     principal_torsion_classes,
-    weyl_group,
 )
 from quivernc.ncmap import braid_orbit, braid_act, complete_exceptional_sequences
 from quivernc.quiver import coxeter_element_word, support

@@ -172,3 +172,29 @@ def private_names_from_package(path: Path) -> set[str]:
 def test_cli_takes_no_private_name_from_another_module():
     """The CLI goes through each module's public, checked entry points."""
     assert private_names_from_package(PACKAGE / "cli.py") == set()
+
+
+def unused_imports(source: str) -> set[str]:
+    """Every name the source binds by an import, `from __future__` aside,
+    and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_the_unused_import_reader():
+    source = ("from operator import mul, sub\nimport os.path\nimport json as j\n"
+              "def f(x):\n    from . import weyl\n    return sub(x, weyl.n) + os.sep\n")
+    assert unused_imports(source) == {"mul", "j"}
+
+
+def test_every_module_uses_what_it_imports():
+    """The package root is exempt: it imports to re-export."""
+    assert {path.stem: unused for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem != "__init__"
+            and (unused := unused_imports(path.read_text(encoding="utf-8")))} == {}

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import field_reference
 import latt_reference
+from latt_reference import absolute_leq, weyl_group
 from quivernc import (
     a_of,
     cluster_tilting_objects,
@@ -47,13 +48,11 @@ from quivernc.cli import (
 from quivernc.cluster import _orth_masks, all_cc_indecs, cc_ext_orthogonal, mutate
 from quivernc.latt import (
     absolute_length,
-    absolute_leq,
     bounds,
     c_sortable_elements,
     cambrian_poset,
     lattice_analyze,
     noncrossing_partitions,
-    weyl_group,
 )
 from quivernc import latt, ncmap, weyl
 from quivernc.ncmap import (
@@ -72,6 +71,7 @@ from quivernc.ncmap import (
     wide_of_nc,
 )
 from quivernc.quiver import (
+    _simple_pairing,
     cartan_matrix,
     coxeter_element_word,
     ext_dim_roots,
@@ -93,7 +93,6 @@ from quivernc.replab import (
 from quivernc.tors import _ext_masks, _hom_masks, is_support_tilting, wide_simples
 from quivernc.weyl import (
     GroupElement,
-    _simple_pairing,
     _two_rho,
     ar_quiver,
     c_sorting_word,
@@ -741,20 +740,33 @@ def braid_act_by_matrices(q, i, seq, direction):
     return out
 
 
+def words_to_check(q, partial):
+    """cox(Q)'s word; on the first orientation of each graph, every ordering
+    of the vertices, or of every subset of them when `partial`. Sortability
+    depends on the graph and the word, not on the orientation."""
+    if q not in [p.values[0] for p in ONE_PER_GRAPH]:
+        return [coxeter_element_word(q)]
+    sizes = range(q.n + 1) if partial else [q.n]
+    return [word for k in sizes for word in itertools.permutations(q.vertices, k)]
+
+
 @pytest.mark.parametrize("q", QUIVERS)
 def test_vector_sortability_matches_matrix_induction(q):
-    cword = coxeter_element_word(q)
-    for w in weyl_group(q):
-        assert is_c_sortable(q, w, cword) == is_c_sortable_by_products(q, w, cword), w.mat
+    for cword in words_to_check(q, partial=True):
+        for w in weyl_group(q):
+            assert is_c_sortable(q, w, cword) == is_c_sortable_by_products(q, w, cword), (
+                cword, w.mat)
 
 
 @pytest.mark.parametrize("q", QUIVERS)
 def test_reading_recursions_match_matrix_products(q):
-    cword = coxeter_element_word(q)
-    for w in weyl_group(q):
-        if is_c_sortable(q, w, cword):
-            assert reading_nc(q, w, cword) == reading_nc_by_products(q, w, cword), w.mat
-            assert reading_cl(q, w, cword) == reading_cl_by_products(q, w, cword), w.mat
+    for cword in words_to_check(q, partial=False):
+        for w in weyl_group(q):
+            if is_c_sortable(q, w, cword):
+                assert reading_nc(q, w, cword) == reading_nc_by_products(q, w, cword), (
+                    cword, w.mat)
+                assert reading_cl(q, w, cword) == reading_cl_by_products(q, w, cword), (
+                    cword, w.mat)
 
 
 @pytest.mark.parametrize("q", QUIVERS)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import field_reference
+from latt_reference import weyl_group
 from quivernc import GroupElement, classify, fields, parse_quiver
-from quivernc.latt import weyl_group
 from quivernc.quiver import Quiver
 
 ENTRIES = st.integers(-10**6, 10**6)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from latt_reference import absolute_leq, weyl_group
 from quivernc import (
     GroupElement,
     braid_act,
@@ -28,7 +29,7 @@ from quivernc import (
     upper_indecs,
     word_to_element,
 )
-from quivernc.latt import absolute_length, absolute_leq, noncrossing_partitions, weyl_group
+from quivernc.latt import absolute_length, noncrossing_partitions
 from quivernc.ncmap import braid_orbit, initial_letters
 from quivernc.quiver import coxeter_element_word
 from quivernc.tors import a_of, wide_simples

@@ -134,16 +134,13 @@ def test_reversed_reflection_product_fails_exceptional(capsys, monkeypatch, text
 
 
 @pytest.mark.parametrize("text", [A3, D4], ids=["a3", "d4"])
-def test_no_suite_builds_the_weyl_group(capsys, monkeypatch, text):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a verify suite built the Weyl group")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "quivernc" and getattr(module, "weyl_group", None) is latt.weyl_group:
-            monkeypatch.setattr(module, "weyl_group", refuse)
+def test_no_suite_builds_the_weyl_group(capsys, text):
     code = main(["verify", "--suite=all", text])
     out = capsys.readouterr().out
     assert code == 0 and out.count(": pass (") == 5
+    # the walk over W is the tests' `latt_reference.weyl_group` alone
+    assert not any(hasattr(module, "weyl_group") for name, module in sys.modules.items()
+                   if name.split(".")[0] == "quivernc")
 
 
 @pytest.mark.parametrize("suite,message", [

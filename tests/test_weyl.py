@@ -1,5 +1,6 @@
 import pytest
 
+from latt_reference import absolute_leq, weyl_group
 from quivernc import (
     GroupElement,
     cover_reflections,
@@ -9,13 +10,14 @@ from quivernc import (
     is_c_sortable,
     length_S,
     positive_roots,
+    reading_nc,
     reflection,
     simple_reflection,
     word_to_element,
 )
 from quivernc.cli import _word_str
 from quivernc.fields import int_echelon, int_in_span
-from quivernc.latt import absolute_length, absolute_leq, noncrossing_partitions, weyl_group
+from quivernc.latt import absolute_length, c_sortable_elements, noncrossing_partitions
 from quivernc.verify import min_deletions_to_identity
 from quivernc.weyl import reduced_word
 
@@ -193,11 +195,19 @@ class TestSortable:
         assert sum(is_c_sortable(q, w, c) for w in weyl_group(q)) == count
         assert len(noncrossing_partitions(q)) == count
 
-    def test_invalid_word(self, a2):
+    def test_invalid_word(self, a2, a3):
         with pytest.raises(ValueError):
             is_c_sortable(a2, GroupElement.identity(2), (1, 1))
         with pytest.raises(ValueError):
             is_c_sortable(a2, GroupElement.identity(2), (3,))
+        e = GroupElement.identity(3)
+        for word in [(1.0, 2, 3), (True, 2, 3), ("1", 2, 3)]:  # letters are ints, not bools
+            with pytest.raises(ValueError):
+                is_c_sortable(a3, e, word)
+            with pytest.raises(ValueError):
+                reading_nc(a3, e, word)
+            with pytest.raises(ValueError):
+                list(c_sortable_elements(a3, word))
 
 
 class TestCoverReflections:
