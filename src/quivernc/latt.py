@@ -25,15 +25,15 @@ walk and absolute order are references kept with the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import combinations
 from operator import and_, or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import fields
 from .ncmap import wide_of_nc
-from .quiver import Quiver, Root, _pairings, _simple_pairing, positive_roots, require_finite_type
+from .quiver import Quiver, Root, _Frozen, _pairings, _simple_pairing
+from .quiver import positive_roots, require_finite_type
 from .replab import DEFAULT_CAP, extension_root_closure, gen
 from .tors import IndecSet, enumerate_torsion_classes
 from .weyl import (
@@ -56,15 +56,17 @@ def _bits_of(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(_Frozen):
     """Elements are ids 0..n-1 carrying payloads. The relation is held as
     bitsets: bit j of up[i] and bit i of down[j] are set exactly when
     i <= j."""
 
-    payloads: tuple
-    up: tuple[int, ...]
-    down: tuple[int, ...]
+    __slots__ = ("payloads", "up", "down")
+
+    def __init__(self, payloads: tuple, up: tuple[int, ...], down: tuple[int, ...]):
+        object.__setattr__(self, "payloads", payloads)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
 
     def __len__(self) -> int:
         return len(self.payloads)
@@ -93,8 +95,7 @@ def _minimal(p: FinitePoset, s: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(NamedTuple):
     is_lattice: bool
     join_irreducibles: tuple[int, ...]
     meet_irreducibles: tuple[int, ...]

@@ -34,16 +34,41 @@ def _least_first(items, before) -> tuple | None:
 
 
 class _Frozen:
-    """Base of the fast path's immutable values: their `__init__` sets the
-    slots with `object.__setattr__`, and any later assignment raises."""
+    """Base of the package's immutable values: a subclass names its fields
+    in `__slots__`, its `__init__` takes them in that order and sets them
+    with `object.__setattr__`, and any later assignment raises.
+
+    Equality, hash, repr and pickling go by the field tuple, as a frozen
+    dataclass's do: equal exactly when the fields are, hashed as the tuple
+    of the fields, so sets and dicts of values iterate in the same order.
+    The fast path's values write their own, to hash once or print shorter.
+    """
 
     __slots__ = ()
+
+    def _field_values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._field_values())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self):
+        return type(self), self._field_values()
 
 
 class Quiver(_Frozen):

@@ -26,7 +26,6 @@ this one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import Sequence
@@ -38,6 +37,7 @@ from .quiver import (
     Quiver,
     Root,
     Vertex,
+    _Frozen,
     _simple_step,
     euler_form,
     is_positive_root,
@@ -52,29 +52,29 @@ DEFAULT_CAP = 12
 Matrix = tuple[tuple[int, ...], ...]  # 0/1 entries, one tuple per row
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(_Frozen):
     """Per-vertex dimensions plus one 0/1 matrix over GF(2) per arrow.
 
     maps[k] has shape (dim at target) x (dim at source) for arrows[k] and
     acts on column vectors.
     """
 
-    quiver: Quiver
-    dims: DimVector
-    maps: tuple[Matrix, ...]
+    __slots__ = ("quiver", "dims", "maps")
 
     # The order of the scalar field, for code that counts subspaces from
     # outside (the benchmark's tracer reads `m.field.p`).
     field = SimpleNamespace(p=2)
 
-    def __post_init__(self):
-        if len(self.dims) != self.quiver.n or len(self.maps) != len(self.quiver.arrows):
+    def __init__(self, quiver: Quiver, dims: DimVector, maps: tuple[Matrix, ...]):
+        if len(dims) != quiver.n or len(maps) != len(quiver.arrows):
             raise ValueError("representation shape mismatch")
-        for (s, t), m in zip(self.quiver.arrows, self.maps):
+        for (s, t), m in zip(quiver.arrows, maps):
             rows, cols = len(m), (len(m[0]) if m else 0)
-            if rows != self.dims[t - 1] or (rows and cols != self.dims[s - 1]):
+            if rows != dims[t - 1] or (rows and cols != dims[s - 1]):
                 raise ValueError(f"map for arrow {s}->{t} has wrong shape")
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "maps", maps)
 
     @property
     def total_dim(self) -> int:
@@ -178,13 +178,20 @@ def direct_sum(reps: list[Representation]) -> Representation:
     return Representation(q, dims, tuple(maps))
 
 
-@dataclass(frozen=True)
-class HomBasis:
+class HomBasis(_Frozen):
     """Basis of Hom(source, target): tuples of per-vertex matrices."""
 
-    source: Representation
-    target: Representation
-    elements: tuple[tuple[Matrix, ...], ...]
+    __slots__ = ("source", "target", "elements")
+
+    def __init__(
+        self,
+        source: Representation,
+        target: Representation,
+        elements: tuple[tuple[Matrix, ...], ...],
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "elements", elements)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -7,8 +7,7 @@ has theta <= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .quiver import Quiver, Root, Vertex, euler_row, positive_roots, require_finite_type, support
 from .replab import (
@@ -60,6 +59,11 @@ def theta_of_support_tilting(
     for v, coeff in b.items():
         if coeff >= 0:
             raise ValueError(f"b-coefficient of off-support vertex {v} must be negative")
+    return _theta(q, a, b)
+
+
+def _theta(q: Quiver, a: Mapping[Root, int], b: Mapping[Vertex, int]) -> Stability:
+    """sum a_i <T_i, .> + sum b_j e_j, for coefficients already checked."""
     theta = [0] * q.n
     for r, coeff in a.items():
         row = euler_row(q, r)
@@ -88,8 +92,7 @@ def semistable_indecs(q: Quiver, theta: Stability, cap: int = DEFAULT_CAP) -> In
     )
 
 
-@dataclass(frozen=True)
-class SemistableReport:
+class SemistableReport(NamedTuple):
     support_tilting: tuple[Root, ...]
     theta: Stability
     semistable: tuple[Root, ...]

@@ -248,6 +248,7 @@ def sorting_word_of_inversion_set(
     vector is w(2 rho) for the w the letters spell, and every member pairs
     negatively with it: then the set lies in N(w) and has the same sum, so
     it is N(w)."""
+    _validate_full_word(q, c_word)
     if not frozenset(roots) <= frozenset(positive_roots(q)):
         raise ValueError("no group element has the given roots as inversion set")
     y = [x - 2 * sum(r[i] for r in roots) for i, x in enumerate(_two_rho(q))]
@@ -284,6 +285,14 @@ def _validate_word(q: Quiver, c_word: tuple[Vertex, ...]) -> None:
         _check_letter(q, v)
     if len(set(c_word)) != len(c_word):
         raise ValueError(f"invalid Coxeter word {c_word!r}")
+
+
+def _validate_full_word(q: Quiver, c_word: tuple[Vertex, ...]) -> None:
+    """A Coxeter word with every letter: passes over a partial word strip
+    nothing outside it, and would never end."""
+    _validate_word(q, c_word)
+    if len(c_word) != q.n:
+        raise ValueError("c-sorting needs a full Coxeter word")
 
 
 def is_c_sortable(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> bool:
@@ -350,9 +359,7 @@ def reduced_word(q: Quiver, w: GroupElement) -> tuple[Vertex, ...]:
 
 def c_sorting_word(q: Quiver, w: GroupElement, c_word: tuple[Vertex, ...]) -> tuple[Vertex, ...]:
     """The c-sorting word of w: greedy subword of c^infinity."""
-    _validate_word(q, c_word)
-    if len(set(c_word)) != q.n:
-        raise ValueError("c-sorting needs a full Coxeter word")
+    _validate_full_word(q, c_word)
     return tuple(v for v, _ in _strip_descents(q, _rho_pairings(q, w), tuple(c_word)))
 
 

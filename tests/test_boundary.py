@@ -193,6 +193,28 @@ def test_the_unused_import_reader():
     assert unused_imports(source) == {"mul", "j"}
 
 
+def absolute_imports(source: str) -> set[str]:
+    """The top-level name of every module the source imports by an absolute
+    name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_dataclasses():
+    """The package's values are `_Frozen` classes and NamedTuples: importing
+    dataclasses would load inspect, ast, dis and tokenize, 12 modules in
+    all, into every process."""
+    source = "import os.path\nfrom dataclasses import field\ndef f():\n    from . import weyl\n"
+    assert absolute_imports(source) == {"os", "dataclasses"}
+    assert [path.stem for path in sorted(PACKAGE.glob("*.py"))
+            if "dataclasses" in absolute_imports(path.read_text(encoding="utf-8"))] == []
+
+
 def test_every_module_uses_what_it_imports():
     """The package root is exempt: it imports to re-export."""
     assert {path.stem: unused for path in sorted(PACKAGE.glob("*.py"))

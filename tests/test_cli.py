@@ -463,8 +463,17 @@ def test_import_leaves_hashlib_unloaded():
     ("table", A3),
 ], ids=["import", "roots", "ar", "enumerate", "map", "table"])
 def test_data_verbs_leave_dataclasses_unloaded(argv):
-    """dataclasses pulls in inspect, ast, dis and tokenize, about 12 ms of
-    every fresh process: the fast path's value types are slotted classes."""
+    assert not dataclasses_loaded(*argv)
+
+
+def test_verify_leaves_dataclasses_unloaded():
+    assert not dataclasses_loaded("verify", "--suite=all", A3)
+
+
+def dataclasses_loaded(*argv: str) -> bool:
+    """Whether `main(argv)` loads dataclasses. It pulls in inspect, ast, dis
+    and tokenize, 12 modules and about 12 ms of every fresh process: the
+    package's value types are slotted classes and NamedTuples."""
     env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
     code = (
         "import sys, quivernc.cli\n"
@@ -475,7 +484,7 @@ def test_data_verbs_leave_dataclasses_unloaded(argv):
     proc = subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    return proc.stdout.splitlines()[-1] == "True"
 
 
 def test_python_m_runs_the_cli():

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import quivernc
 from latt_reference import absolute_leq, weyl_group
 from quivernc import (
     GroupElement,
@@ -246,3 +252,25 @@ def test_inverse_integrality(a3):
 def test_simple_reflection_rejects_non_vertices(a3, v):
     with pytest.raises(ValueError, match="no simple reflection"):
         simple_reflection(a3, v)
+
+
+def test_sorting_words_refuse_a_partial_word():
+    """Passes over a word that lacks a letter never strip that letter, so
+    they would run forever: a partial word is refused before the walk. The
+    calls run in a child process, whose timeout turns a hang into a failure."""
+    code = (
+        "from quivernc import parse_quiver, simple_reflection\n"
+        "from quivernc.weyl import c_sorting_word, sorting_word_of_inversion_set\n"
+        "q = parse_quiver('vertices 3\\narrow 2 1\\narrow 2 3')\n"
+        "for call in (lambda: sorting_word_of_inversion_set(q, frozenset({(1, 0, 0)}), (2, 3)),\n"
+        "             lambda: c_sorting_word(q, simple_reflection(q, 1), (2, 3))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(quivernc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["c-sorting needs a full Coxeter word"] * 2
